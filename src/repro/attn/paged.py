@@ -43,12 +43,37 @@ from repro.attn.protocol import (
 from repro.attn.reference import chunked_causal_attention
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
-from repro.core.quantization import QuantParams
-from repro.core.residual_kernel import PackedBlockBatch, flush_blocks
+from repro.core.memo import DequantMemo
+from repro.core.residual_kernel import PackedBlockBatch, block_arrays, flush_blocks, map_blocks
 from repro.gpu.arch import ArchSpec
 from repro.pages.allocator import OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore, TierObserver
+
+
+def _fp16_rows(k_rows, v_rows, shape: str, ndim: int, batch: Optional[int] = None):
+    """K/V rows as FP16 after a shape check (before any state changes)."""
+    k_rows = np.asarray(k_rows, np.float16)
+    v_rows = np.asarray(v_rows, np.float16)
+    ragged = batch is not None and k_rows.shape[:1] != (batch,)
+    if k_rows.shape != v_rows.shape or k_rows.ndim != ndim or ragged:
+        raise ValueError(f"K and V rows must share {shape} shape")
+    return k_rows, v_rows
+
+
+def _require_finite(*rows: np.ndarray) -> None:
+    """Reject NaN/Inf FP16 rows before a write changes any state.
+
+    A non-finite row would poison its block's quantization scale, and a
+    write that failed half way would leave the handle past pages it never
+    wrote.  An FP16 value is NaN/Inf exactly when its exponent bits are
+    all set; input beyond the FP16 range arrives already cast to Inf.
+    """
+    if any(((r.view(np.uint16) & 0x7C00) == 0x7C00).any() for r in rows):
+        raise ValueError(
+            "K/V rows hold non-finite values (NaN/Inf, or beyond the FP16 range); "
+            "nothing was written"
+        )
 
 
 class PagedSeqHandle(KVCacheHandle):
@@ -68,7 +93,7 @@ class PagedSeqHandle(KVCacheHandle):
         self.seq_id = seq_id
         self.slot = slot
         self.seq_len = 0
-        self._dequant_memo: Optional[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = None
+        self._dequant_memo: Optional[DequantMemo] = None
 
     @property
     def config(self) -> BitDecodingConfig:
@@ -229,20 +254,16 @@ class PagedBitKVCache(TierObserver):
 
         # One probe flush fixes every pool shape/dtype: the fragment-word
         # tensor and group-stat layouts depend only on (N_r, d, config),
-        # never on batch/hkv/block count.
+        # never on batch/hkv/block count.  The pool is that block batch
+        # with its batch and block axes replaced by one page axis.
         zeros = np.zeros((1, 1, 1, nr, head_dim), np.float16)
-        probe = flush_blocks(zeros, zeros, config)
-        self._layout_name = probe.layout_name
-        self._k_axis = probe.k_params.axis
-        self._k_group = probe.k_params.group_size
-        self._v_axis = probe.v_params.axis
-        self._v_group = probe.v_params.group_size
-        self.k_words = np.zeros((n_pages, hkv) + probe.k_words.shape[3:], probe.k_words.dtype)
-        self.v_words = np.zeros((n_pages, hkv) + probe.v_words.shape[3:], probe.v_words.dtype)
-        self.k_scale = np.zeros((n_pages, hkv) + probe.k_params.scale.shape[3:], np.float32)
-        self.k_zero = np.zeros_like(self.k_scale)
-        self.v_scale = np.zeros((n_pages, hkv) + probe.v_params.scale.shape[3:], np.float32)
-        self.v_zero = np.zeros_like(self.v_scale)
+        self._pool = map_blocks(
+            flush_blocks(zeros, zeros, config),
+            lambda a: np.zeros((n_pages, hkv) + a.shape[3:], a.dtype),
+        )
+        self.k_words, self.v_words, self.k_scale, self.k_zero, self.v_scale, self.v_zero = (
+            block_arrays(self._pool)
+        )
         self.slots = PageAllocator(n_slots)
         self.res_k = np.zeros((n_slots, hkv, nr, head_dim), np.float16)
         self.res_v = np.zeros((n_slots, hkv, nr, head_dim), np.float16)
@@ -259,7 +280,26 @@ class PagedBitKVCache(TierObserver):
         self._group_memos: dict = {}
         self._group_frame_maps: dict = {}
 
+    def _advance(self, frames: int = 0, content: int = 0) -> None:
+        """Advance the gather-cache epochs and drop the entries they retire.
+
+        A retired memo would otherwise stay referenced (hundreds of MB at
+        kernel size) until the entry cap evicted it.  Group memos survive
+        a frames-only advance (a migration moves words, not values), so
+        the live groups of a decode step that migrates keep theirs.
+        """
+        self.frames_epoch += frames
+        self.content_epoch += content
+        self._group_memos = {
+            key: memo for key, memo in self._group_memos.items() if memo.tag == self.content_epoch
+        }
+        epochs = (self.frames_epoch, self.content_epoch)
+        self._group_frame_maps = {
+            key: entry for key, entry in self._group_frame_maps.items() if entry[0] == epochs
+        }
+
     def _pools(self) -> Tuple[np.ndarray, ...]:
+        """The pool arrays in :func:`block_arrays` order."""
         return (self.k_words, self.v_words, self.k_scale, self.k_zero, self.v_scale, self.v_zero)
 
     def _frames(self, pages) -> np.ndarray:
@@ -271,12 +311,12 @@ class PagedBitKVCache(TierObserver):
     # --------------------------------------------------- TierObserver hooks
 
     def copy_frame(self, src: int, dst: int) -> None:
-        self.frames_epoch += 1
+        self._advance(frames=1)
         for pool in self._pools():
             pool[dst] = pool[src]
 
     def exchange_frames(self, a: int, b: int) -> None:
-        self.frames_epoch += 1
+        self._advance(frames=1)
         for pool in self._pools():
             tmp = pool[a].copy()
             pool[a] = pool[b]
@@ -298,8 +338,7 @@ class PagedBitKVCache(TierObserver):
         damage always changes the frame's checksum — injection can never
         silently miss.
         """
-        self.frames_epoch += 1
-        self.content_epoch += 1
+        self._advance(frames=1, content=1)
         flat = self.k_words[frame].reshape(-1)
         idx = salt % flat.size
         # (salt | 1) keeps the low bit set, so the mask is never zero.
@@ -331,7 +370,7 @@ class PagedBitKVCache(TierObserver):
                 f"all {self.slots.n_pages} residual slots in use; release "
                 "finished sequences or construct the pool with more n_slots"
             ) from err
-        self.content_epoch += 1
+        self._advance(content=1)
         handle = PagedSeqHandle(self, seq_id, slot)
         handle.seq_len = prefix_tokens
         return handle
@@ -367,7 +406,7 @@ class PagedBitKVCache(TierObserver):
                 f"all {self.slots.n_pages} residual slots in use; release "
                 "finished sequences or construct the pool with more n_slots"
             ) from err
-        self.content_epoch += 1
+        self._advance(content=1)
         handle = PagedSeqHandle(self, seq_id, slot)
         handle.seq_len = seq_len
         if n_res:
@@ -398,7 +437,7 @@ class PagedBitKVCache(TierObserver):
 
     def free_slot(self, handle: PagedSeqHandle) -> None:
         """Return the residual slot; the scheduler owns the pages."""
-        self.content_epoch += 1
+        self._advance(content=1)
         self.slots.release(handle.slot)
         handle._dequant_memo = None
 
@@ -429,10 +468,8 @@ class PagedBitKVCache(TierObserver):
         (bulk prefill) skip the slot and flush straight from the input in
         one batched call — bit-identical, per-block independence.
         """
-        k_rows = np.asarray(k_rows, np.float16)
-        v_rows = np.asarray(v_rows, np.float16)
-        if k_rows.shape != v_rows.shape or k_rows.ndim != 3:
-            raise ValueError("K and V rows must share an [hkv, n, d] shape")
+        k_rows, v_rows = _fp16_rows(k_rows, v_rows, "an [hkv, n, d]", 3)
+        _require_finite(k_rows, v_rows)
         n = k_rows.shape[1]
         seq = self.table.sequences[handle.seq_id]
         if handle.seq_len + n > seq.length:
@@ -455,9 +492,7 @@ class PagedBitKVCache(TierObserver):
                     v_rows[:, written : written + nb * nr].reshape(shape)[None],
                     self.config,
                 )
-                first = handle.seq_len // nr
-                self._store_blocks(handle, first, nb, flushed)
-                handle.seq_len += nb * nr
+                self._store_blocks([handle], flushed, advance=nb * nr)
                 written += nb * nr
                 continue
             take = min(nr - fill, remaining)
@@ -467,31 +502,7 @@ class PagedBitKVCache(TierObserver):
             written += take
             if handle.seq_len % nr == 0:
                 flushed = flush_blocks(res_k[None, :, None], res_v[None, :, None], self.config)
-                self._store_blocks(handle, handle.seq_len // nr - 1, 1, flushed)
-
-    def _store_blocks(
-        self, handle: PagedSeqHandle, first_block: int, nb: int, flushed: PackedBlockBatch
-    ) -> None:
-        """Write a flush's blocks into physical pages, whole pages only.
-
-        Copy-on-write guard: a target page mapped by more than one
-        sequence (a forked clone) is swapped for a fresh exclusive page
-        before the write — and since pages are only ever written whole,
-        no content copy is needed, just the remap.
-        """
-        pages = []
-        for i in range(nb):
-            page, copied_from = self.table.ensure_exclusive(handle.seq_id, first_block + i)
-            if copied_from is not None:
-                self.content_epoch += 1
-            pages.append(page)
-        idx = self._frames(pages)
-        self.k_words[idx] = flushed.k_words[0].swapaxes(0, 1)
-        self.v_words[idx] = flushed.v_words[0].swapaxes(0, 1)
-        self.k_scale[idx] = flushed.k_params.scale[0].swapaxes(0, 1)
-        self.k_zero[idx] = flushed.k_params.zero[0].swapaxes(0, 1)
-        self.v_scale[idx] = flushed.v_params.scale[0].swapaxes(0, 1)
-        self.v_zero[idx] = flushed.v_params.zero[0].swapaxes(0, 1)
+                self._store_blocks([handle], flushed)
 
     def append_rows(self, handles: List[PagedSeqHandle], k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         """Append ONE token to every handle at once (``[B, hkv, d]`` rows).
@@ -502,10 +513,8 @@ class PagedBitKVCache(TierObserver):
         leading-dim-batched :func:`flush_blocks` call — bit-identical to
         per-sequence :meth:`write_rows` by per-block independence.
         """
-        k_rows = np.asarray(k_rows, np.float16)
-        v_rows = np.asarray(v_rows, np.float16)
-        if k_rows.shape != v_rows.shape or k_rows.ndim != 3 or k_rows.shape[0] != len(handles):
-            raise ValueError("K and V rows must share a [batch, hkv, d] shape")
+        k_rows, v_rows = _fp16_rows(k_rows, v_rows, "a [batch, hkv, d]", 3, len(handles))
+        _require_finite(k_rows, v_rows)
         for handle in handles:
             seq = self.table.sequences[handle.seq_id]
             if handle.seq_len + 1 > seq.length:
@@ -528,7 +537,7 @@ class PagedBitKVCache(TierObserver):
             flushed = flush_blocks(
                 self.res_k[fslots][:, :, None], self.res_v[fslots][:, :, None], self.config
             )
-            self._store_blocks_group(flushing, flushed)
+            self._store_blocks(flushing, flushed)
 
     def write_rows_group(
         self, handles: List[PagedSeqHandle], k_rows: np.ndarray, v_rows: np.ndarray
@@ -541,12 +550,13 @@ class PagedBitKVCache(TierObserver):
         call and the common remainder scatters into the residual slots in
         one assignment — bit-identical to per-sequence :meth:`write_rows`.
         """
-        k_rows = np.asarray(k_rows, np.float16)
-        v_rows = np.asarray(v_rows, np.float16)
-        if k_rows.shape != v_rows.shape or k_rows.ndim != 4 or k_rows.shape[0] != len(handles):
-            raise ValueError("K and V rows must share a [batch, hkv, n, d] shape")
+        k_rows, v_rows = _fp16_rows(k_rows, v_rows, "a [batch, hkv, n, d]", 4, len(handles))
         n = k_rows.shape[2]
         nr = self.block_tokens
+        nb, rem = divmod(n, nr)
+        # Complete blocks need no scan: the flush's quantizer rejects a
+        # non-finite block before anything is stored.
+        _require_finite(k_rows[:, :, nb * nr :], v_rows[:, :, nb * nr :])
         for handle in handles:
             if handle.seq_len % nr:
                 raise ValueError("write_rows_group requires block-aligned fills")
@@ -556,7 +566,6 @@ class PagedBitKVCache(TierObserver):
                     f"write of {n} tokens at {handle.seq_len} exceeds the "
                     f"sequence's reserved length ({seq.length}); reserve pages first"
                 )
-        nb, rem = divmod(n, nr)
         if nb:
             shape = (len(handles), self.hkv, nb, nr, self.head_dim)
             flushed = flush_blocks(
@@ -564,7 +573,7 @@ class PagedBitKVCache(TierObserver):
                 v_rows[:, :, : nb * nr].reshape(shape),
                 self.config,
             )
-            self._store_blocks_group(handles, flushed, advance=nb * nr)
+            self._store_blocks(handles, flushed, advance=nb * nr)
         if rem:
             slots = np.asarray([h.slot for h in handles])
             self.res_k[slots, :, :rem] = k_rows[:, :, nb * nr :]
@@ -572,7 +581,7 @@ class PagedBitKVCache(TierObserver):
             for handle in handles:
                 handle.seq_len += rem
 
-    def _store_blocks_group(
+    def _store_blocks(
         self, handles: List[PagedSeqHandle], flushed: PackedBlockBatch, advance: int = 0
     ) -> None:
         """Write one batched flush (batch axis = handles) into pages.
@@ -580,8 +589,10 @@ class PagedBitKVCache(TierObserver):
         With ``advance`` the flush holds ``advance // N_r`` *new* blocks
         per handle starting at its current length (bulk prefill); without
         it the flush holds each handle's just-completed block (decode
-        append).  Same whole-page copy-on-write guard as
-        :meth:`_store_blocks`.
+        append).  Copy-on-write guard: a target page mapped by more than
+        one sequence (a forked clone) is swapped for a fresh exclusive
+        page before the write — and since pages are only ever written
+        whole, no content copy is needed, just the remap.
         """
         nr = self.block_tokens
         nb = flushed.k_words.shape[2]
@@ -591,7 +602,7 @@ class PagedBitKVCache(TierObserver):
             for i in range(nb):
                 page, copied_from = self.table.ensure_exclusive(handle.seq_id, first + i)
                 if copied_from is not None:
-                    self.content_epoch += 1
+                    self._advance(content=1)
                 pages.append(page)
             if advance:
                 handle.seq_len += advance
@@ -601,12 +612,8 @@ class PagedBitKVCache(TierObserver):
             # [G, hkv, nb, ...] -> [G*nb, hkv, ...] in page-list order.
             return tensor.swapaxes(1, 2).reshape((len(pages),) + tensor.shape[1:2] + tensor.shape[3:])
 
-        self.k_words[idx] = rows(flushed.k_words)
-        self.v_words[idx] = rows(flushed.v_words)
-        self.k_scale[idx] = rows(flushed.k_params.scale)
-        self.k_zero[idx] = rows(flushed.k_params.zero)
-        self.v_scale[idx] = rows(flushed.v_params.scale)
-        self.v_zero[idx] = rows(flushed.v_params.zero)
+        for pool, new in zip(self._pools(), block_arrays(flushed)):
+            pool[idx] = rows(new)
 
     def copy_pages(self, src: List[int], dst: List[int]) -> None:
         """Clone packed words + metadata between physical pages.
@@ -620,82 +627,65 @@ class PagedBitKVCache(TierObserver):
             raise ValueError("src and dst page lists must have equal length")
         if not src:
             return
-        self.content_epoch += 1
+        self._advance(content=1)
         s, d = self._frames(src), self._frames(dst)
-        self.k_words[d] = self.k_words[s]
-        self.v_words[d] = self.v_words[s]
-        self.k_scale[d] = self.k_scale[s]
-        self.k_zero[d] = self.k_zero[s]
-        self.v_scale[d] = self.v_scale[s]
-        self.v_zero[d] = self.v_zero[s]
+        for pool in self._pools():
+            pool[d] = pool[s]
 
     # --------------------------------------------------------------- reads
 
-    def _dequant_pages(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather pages into a :class:`PackedBlockBatch` and dequantize.
+    def _dequant_frames(self, fmap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Gather pool frames ``fmap`` (``[G, n]``) and dequantize them batched.
 
-        Under a tier store this is the measured fallback: any page still
-        off-device faults in synchronously (stall recorded) before the
-        gather, so reads are always device reads.
+        One fancy-index gather per pool assembles the ``[G, hkv, n, ...]``
+        SoA tensors of a :class:`PackedBlockBatch`; dequant is per-block
+        independent, so any split of the blocks over calls and groups is
+        bit-identical.
         """
-        if self.tiers is not None:
-            self.tiers.fault_in([int(p) for p in pages])
-        frames = self._frames(pages)
+        g, n = fmap.shape
+        flat = fmap.reshape(-1)
 
         def gather(pool: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(pool[frames].swapaxes(0, 1))[None]
+            shaped = pool.take(flat, axis=0).reshape((g, n) + pool.shape[1:])
+            return np.ascontiguousarray(shaped.swapaxes(1, 2))
 
-        batch = PackedBlockBatch(
-            length=self.block_tokens,
-            head_dim=self.head_dim,
-            bits=self.config.bits,
-            word_bits=self.config.word_bits,
-            layout_name=self._layout_name,
-            k_words=gather(self.k_words),
-            v_words=gather(self.v_words),
-            k_params=QuantParams(
-                scale=gather(self.k_scale),
-                zero=gather(self.k_zero),
-                axis=self._k_axis,
-                group_size=self._k_group,
-                bits=self.config.bits,
-            ),
-            v_params=QuantParams(
-                scale=gather(self.v_scale),
-                zero=gather(self.v_zero),
-                axis=self._v_axis,
-                group_size=self._v_group,
-                bits=self.config.bits,
-            ),
-        )
-        return batch.dequant_kv(self.config)
+        return map_blocks(self._pool, gather).dequant_kv(self.config)
+
+    def _read_memo(self, memo: DequantMemo, handles: List[PagedSeqHandle]):
+        """Read ``memo`` at the members' ``n_blocks``, dequantizing only the
+        blocks it lacks.
+
+        Under a tier store the missing range faults in first — the
+        measured fallback, so reads are always device reads — and maps to
+        frames once, after the faults (a promotion moves frames), through
+        the gather-map cache (a lone sequence is a one-member group).
+        """
+
+        def chunks(lo: int, hi: int, step: int):
+            if self.tiers is not None:
+                self.tiers.fault_in(
+                    [int(p) for h in handles for p in self.table.sequences[h.seq_id].pages[lo:hi]]
+                )
+            key = tuple((h.seq_id, h.slot) for h in handles)
+            fmap = self._group_frames(key, handles, hi)[:, lo:]
+            for a in range(0, hi - lo, step):
+                yield self._dequant_frames(fmap[:, a : a + step])
+
+        return memo.read(handles[0].n_blocks, chunks)
 
     def dequant_seq(self, handle: PagedSeqHandle) -> Tuple[np.ndarray, np.ndarray]:
         """FP32 ``[1, hkv, packed_len, d]`` reconstruction, memoized.
 
-        Blocks are append-only for a live handle, so the memo extends
-        with just the new pages' dequant on a flush — bit-identical to a
-        full rebuild by per-block independence, and O(new blocks) per
-        step instead of O(context).
+        Blocks are append-only for a live handle, so a flush adds just the
+        new pages' dequant to the handle's memo: O(new blocks) per step
+        instead of O(context).
         """
-        nb = handle.n_blocks
-        if nb == 0:
+        if handle.n_blocks == 0:
             empty = np.zeros((1, self.hkv, 0, self.head_dim), np.float32)
             return empty, empty
-        memo = handle._dequant_memo
-        if memo is not None and memo[0] == nb:
-            return memo[1]
-        pages = np.asarray(self.table.sequences[handle.seq_id].pages[:nb])
-        if memo is not None and memo[0] < nb:
-            k_new, v_new = self._dequant_pages(pages[memo[0] :])
-            kv = (
-                np.concatenate([memo[1][0], k_new], axis=2),
-                np.concatenate([memo[1][1], v_new], axis=2),
-            )
-        else:
-            kv = self._dequant_pages(pages)
-        handle._dequant_memo = (nb, kv)
-        return kv
+        if handle._dequant_memo is None:
+            handle._dequant_memo = DequantMemo(self.block_tokens)
+        return self._read_memo(handle._dequant_memo, [handle])
 
     def residual_view(self, handle: PagedSeqHandle) -> Tuple[np.ndarray, np.ndarray]:
         """Valid FP16 residual rows, ``[1, hkv, res_len, d]``."""
@@ -732,110 +722,35 @@ class PagedBitKVCache(TierObserver):
         moves frames and must bump ``frames_epoch`` before the map is
         built, not after.
         """
+        epochs = (self.frames_epoch, self.content_epoch)
         entry = self._group_frame_maps.get(key)
-        if (
-            entry is not None
-            and entry["frames_epoch"] == self.frames_epoch
-            and entry["content_epoch"] == self.content_epoch
-            and entry["nb"] <= nb
-        ):
-            have = entry["nb"]
-            if have == nb:
-                return entry["map"]
-            fresh = np.asarray(
-                [self.table.sequences[h.seq_id].pages[have:nb] for h in handles]
-            )
-            fmap = np.concatenate(
-                [entry["map"], self._frames(fresh.reshape(-1)).reshape(len(handles), nb - have)],
-                axis=1,
-            )
-        else:
-            pages = np.asarray([self.table.sequences[h.seq_id].pages[:nb] for h in handles])
-            fmap = self._frames(pages.reshape(-1)).reshape(len(handles), nb)
-        self._cache_put(
-            self._group_frame_maps,
-            key,
-            {
-                "nb": nb,
-                "frames_epoch": self.frames_epoch,
-                "content_epoch": self.content_epoch,
-                "map": fmap,
-            },
-        )
+        have = entry[1] if entry is not None and entry[0] == epochs and entry[1] <= nb else 0
+        if have == nb:
+            return entry[2]
+        fresh = np.asarray([self.table.sequences[h.seq_id].pages[have:nb] for h in handles])
+        fmap = self._frames(fresh.reshape(-1)).reshape(len(handles), nb - have)
+        if have:
+            fmap = np.concatenate([entry[2], fmap], axis=1)
+        self._cache_put(self._group_frame_maps, key, (epochs, nb, fmap))
         return fmap
-
-    def _dequant_pages_group(
-        self, key, handles: List[PagedSeqHandle], lo: int, hi: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather blocks ``[lo, hi)`` of every member and dequantize batched.
-
-        One fancy-index gather per pool assembles the ``[G, hkv, ...]``
-        SoA tensors; dequant is per-block independent, so the batched
-        reconstruction is bit-identical to per-sequence gathers.
-        """
-        if self.tiers is not None:
-            self.tiers.fault_in(
-                [int(p) for h in handles for p in self.table.sequences[h.seq_id].pages[lo:hi]]
-            )
-        fmap = self._group_frames(key, handles, hi)[:, lo:hi].reshape(-1)
-
-        def gather(pool: np.ndarray) -> np.ndarray:
-            flat = pool.take(fmap, axis=0)
-            shaped = flat.reshape((len(handles), hi - lo) + pool.shape[1:])
-            return np.ascontiguousarray(shaped.swapaxes(1, 2))
-
-        batch = PackedBlockBatch(
-            length=self.block_tokens,
-            head_dim=self.head_dim,
-            bits=self.config.bits,
-            word_bits=self.config.word_bits,
-            layout_name=self._layout_name,
-            k_words=gather(self.k_words),
-            v_words=gather(self.v_words),
-            k_params=QuantParams(
-                scale=gather(self.k_scale),
-                zero=gather(self.k_zero),
-                axis=self._k_axis,
-                group_size=self._k_group,
-                bits=self.config.bits,
-            ),
-            v_params=QuantParams(
-                scale=gather(self.v_scale),
-                zero=gather(self.v_zero),
-                axis=self._v_axis,
-                group_size=self._v_group,
-                bits=self.config.bits,
-            ),
-        )
-        return batch.dequant_kv(self.config)
 
     def dequant_group(self, handles: List[PagedSeqHandle]) -> Tuple[np.ndarray, np.ndarray]:
         """FP32 ``[G, hkv, packed_len, d]`` group reconstruction, memoized.
 
         The memo is keyed by the exact ``(seq_id, slot)`` member tuple and
         guarded by ``content_epoch``; while the group composition holds
-        (steady-state decode), each step extends it with one batched
-        dequant of the newly flushed block column instead of rebuilding
-        O(context) state.
+        (steady-state decode), a flush adds one batched dequant of the
+        newly flushed block column instead of rebuilding O(context) state.
         """
-        nb = handles[0].n_blocks
-        if nb == 0:
+        if handles[0].n_blocks == 0:
             empty = np.zeros((len(handles), self.hkv, 0, self.head_dim), np.float32)
             return empty, empty
         key = tuple((h.seq_id, h.slot) for h in handles)
         memo = self._group_memos.get(key)
-        if memo is not None and memo["epoch"] == self.content_epoch and memo["nb"] <= nb:
-            if memo["nb"] == nb:
-                return memo["kv"]
-            k_new, v_new = self._dequant_pages_group(key, handles, memo["nb"], nb)
-            kv = (
-                np.concatenate([memo["kv"][0], k_new], axis=2),
-                np.concatenate([memo["kv"][1], v_new], axis=2),
-            )
-        else:
-            kv = self._dequant_pages_group(key, handles, 0, nb)
-        self._cache_put(self._group_memos, key, {"nb": nb, "epoch": self.content_epoch, "kv": kv})
-        return kv
+        if memo is None:  # a stale-epoch memo was dropped when the epoch advanced
+            memo = DequantMemo(self.block_tokens, self.content_epoch)
+            self._cache_put(self._group_memos, key, memo)
+        return self._read_memo(memo, handles)
 
     def residual_group(self, handles: List[PagedSeqHandle]) -> Tuple[np.ndarray, np.ndarray]:
         """FP16 residual rows gathered ``[G, hkv, r_max, d]``, zero-padded.

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.arch_support import validate_config
 from repro.core.config import AttentionGeometry, BitDecodingConfig
+from repro.core.memo import DequantMemo
 from repro.core.packing_kernel import build_packing_launch, run_numeric
 from repro.core.query_transform import group_queries, ungroup_output
 from repro.core.residual_cache import BatchedResidual, partition_prefill
@@ -37,7 +38,9 @@ from repro.core.residual_kernel import (
     attend_residual,
     attend_residual_grouped,
     build_residual_launch,
+    concat_blocks,
     flush_blocks,
+    map_blocks,
 )
 from repro.core.softmax import OnlineSoftmaxState
 from repro.gpu.arch import ArchSpec, get_arch
@@ -56,9 +59,10 @@ class BitKVCache:
     a length (the paper's padded "Batches" setting), which is exactly what
     makes the lock-step layout valid.
 
-    Dequantized packed K/V are memoized per flush epoch: decode steps that
-    do not flush reuse the reconstruction instead of re-dequantizing every
-    block (see :meth:`dequant_kv` / :meth:`invalidate_dequant_cache`).
+    Dequantized packed K/V are memoized in a :class:`DequantMemo`: decode
+    steps that do not flush reuse the reconstruction, and a flush adds
+    only its new blocks (see :meth:`dequant_kv` /
+    :meth:`invalidate_dequant_cache`).
     """
 
     def __init__(self, batch: int, hkv: int, head_dim: int, config: BitDecodingConfig):
@@ -72,8 +76,7 @@ class BitKVCache:
         self.packed: Optional[Union[PackedBlockBatch, Fp4BlockBatch]] = None
         self.residual = BatchedResidual(batch, hkv, nr, head_dim)
         self.seq_len = 0
-        self.flush_epoch = 0
-        self._dequant_memo: Optional[Tuple[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]] = None
+        self._dequant_memo: Optional[DequantMemo] = None
 
     # ------------------------------------------------------------------ fill
 
@@ -100,7 +103,6 @@ class BitKVCache:
                 v[:, :, :packed_len].reshape(batch, hkv, n_blocks, nr, d),
                 config,
             )
-            cache.flush_epoch += 1
         if res_len:
             cache.residual.fill(k[:, :, packed_len:], v[:, :, packed_len:])
         cache.seq_len = seq_len
@@ -123,29 +125,9 @@ class BitKVCache:
         flushed = block is not None
         if flushed:
             batch_blocks = flush_blocks(block[0][:, :, None], block[1][:, :, None], self.config)
-            memo = self._dequant_memo
-            extendable = (
-                memo is not None
-                and self.packed is not None
-                and memo[0] == (self.packed.n_blocks, self.flush_epoch)
-            )
             self.packed = (
-                batch_blocks if self.packed is None else self.packed.extend(batch_blocks)
+                batch_blocks if self.packed is None else concat_blocks(self.packed, batch_blocks)
             )
-            self.flush_epoch += 1
-            if extendable:
-                # A flush only appends blocks, so the memoized reconstruction
-                # extends with just the new blocks' dequant — per-block
-                # independence makes this bit-identical to a full rebuild,
-                # and keeps flush steps O(N_r), not O(context).
-                k_new_hat, v_new_hat = batch_blocks.dequant_kv(self.config)
-                kv = (
-                    np.concatenate([memo[1][0], k_new_hat], axis=2),
-                    np.concatenate([memo[1][1], v_new_hat], axis=2),
-                )
-                self._dequant_memo = ((self.packed.n_blocks, self.flush_epoch), kv)
-            else:
-                self._dequant_memo = None
         self.seq_len += 1
         return flushed
 
@@ -164,22 +146,26 @@ class BitKVCache:
     def dequant_kv(self) -> Tuple[np.ndarray, np.ndarray]:
         """Reconstructed FP32 ``[batch, hkv, packed_len, d]`` K/V, memoized.
 
-        The first call after a flush exercises the real batched unpack +
-        dequantization of the stored fragment-order words; subsequent calls
-        return the cached reconstruction until the next flush changes the
-        packed part (keyed on ``(n_blocks, flush_epoch)``).  Callers that
-        mutate the packed words or metadata in place must call
-        :meth:`invalidate_dequant_cache`.
+        The first call exercises the real batched unpack + dequantization
+        of the stored fragment-order words; later calls return the cached
+        reconstruction, and after a flush only the new blocks are
+        dequantized into the memo's spare capacity (packed blocks are
+        append-only).  Callers that mutate the packed words or metadata
+        in place must call :meth:`invalidate_dequant_cache`.
         """
         if self.packed is None:
             empty = np.zeros((self.batch, self.hkv, 0, self.head_dim), np.float32)
             return empty, empty
-        key = (self.packed.n_blocks, self.flush_epoch)
-        if self._dequant_memo is not None and self._dequant_memo[0] == key:
-            return self._dequant_memo[1]
-        kv = self.packed.dequant_kv(self.config)
-        self._dequant_memo = (key, kv)
-        return kv
+        if self._dequant_memo is None:
+            self._dequant_memo = DequantMemo(self.config.residual_block_size)
+        packed = self.packed
+
+        def chunks(lo: int, hi: int, step: int):
+            for a in range(lo, hi, step):
+                cut = slice(a, min(a + step, hi))
+                yield map_blocks(packed, lambda x: x[:, :, cut]).dequant_kv(self.config)
+
+        return self._dequant_memo.read(packed.n_blocks, chunks)
 
     def invalidate_dequant_cache(self) -> None:
         """Drop the memoized dequantized K/V (after in-place mutation)."""

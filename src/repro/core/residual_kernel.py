@@ -21,8 +21,8 @@ words.  Trace builders mirror the same work for the performance model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -221,19 +221,6 @@ def flush_block(k_block: np.ndarray, v_block: np.ndarray, config: BitDecodingCon
 # ---------------------------------------------------------------------------
 
 
-def _concat_params(a: QuantParams, b: QuantParams, block_axis: int) -> QuantParams:
-    """Concatenate two batched :class:`QuantParams` along the block axis."""
-    if (a.axis, a.group_size, a.bits) != (b.axis, b.group_size, b.bits):
-        raise ValueError("cannot concatenate metadata of differently-quantized blocks")
-    return QuantParams(
-        scale=np.concatenate([a.scale, b.scale], axis=block_axis),
-        zero=np.concatenate([a.zero, b.zero], axis=block_axis),
-        axis=a.axis,
-        group_size=a.group_size,
-        bits=a.bits,
-    )
-
-
 @dataclass
 class PackedBlockBatch:
     """All quantized+packed blocks of a cache, stored struct-of-arrays.
@@ -268,28 +255,6 @@ class PackedBlockBatch:
     @property
     def n_blocks(self) -> int:
         return self.k_words.shape[2]
-
-    def extend(self, other: "PackedBlockBatch") -> "PackedBlockBatch":
-        """Append another batch of blocks (one flush) along the block axis."""
-        if (self.length, self.head_dim, self.bits, self.word_bits, self.layout_name) != (
-            other.length,
-            other.head_dim,
-            other.bits,
-            other.word_bits,
-            other.layout_name,
-        ):
-            raise ValueError("cannot extend with blocks of a different configuration")
-        return PackedBlockBatch(
-            length=self.length,
-            head_dim=self.head_dim,
-            bits=self.bits,
-            word_bits=self.word_bits,
-            layout_name=self.layout_name,
-            k_words=np.concatenate([self.k_words, other.k_words], axis=2),
-            v_words=np.concatenate([self.v_words, other.v_words], axis=2),
-            k_params=_concat_params(self.k_params, other.k_params, block_axis=2),
-            v_params=_concat_params(self.v_params, other.v_params, block_axis=2),
-        )
 
     def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
         """Unpack + dequantize every block in one batched pass.
@@ -366,28 +331,6 @@ class Fp4BlockBatch:
     def n_blocks(self) -> int:
         return self.k_values.shape[2]
 
-    def extend(self, other: "Fp4BlockBatch") -> "Fp4BlockBatch":
-        if (self.length, self.head_dim, self.fmt) != (other.length, other.head_dim, other.fmt):
-            raise ValueError("cannot extend with blocks of a different configuration")
-
-        def cat(a: Fp4Params, b: Fp4Params) -> Fp4Params:
-            return Fp4Params(
-                scale=np.concatenate([a.scale, b.scale], axis=2),
-                axis=a.axis,
-                block_size=a.block_size,
-                fmt=a.fmt,
-            )
-
-        return Fp4BlockBatch(
-            length=self.length,
-            head_dim=self.head_dim,
-            fmt=self.fmt,
-            k_values=np.concatenate([self.k_values, other.k_values], axis=2),
-            v_values=np.concatenate([self.v_values, other.v_values], axis=2),
-            k_scales=cat(self.k_scales, other.k_scales),
-            v_scales=cat(self.v_scales, other.v_scales),
-        )
-
     def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
         batch, hkv, nb = self.k_values.shape[:3]
         flat = (batch, hkv, nb * self.length, self.head_dim)
@@ -404,6 +347,41 @@ class Fp4BlockBatch:
     @property
     def meta_nbytes(self) -> float:
         return self.k_scales.nbytes + self.v_scales.nbytes
+
+
+def block_arrays(batch) -> List[np.ndarray]:
+    """Every array of a block batch, metadata included, in field order
+    (``k_words, v_words, k scale, k zero, v scale, v zero`` when packed)."""
+    out: List[np.ndarray] = []
+    for f in fields(batch):
+        val = getattr(batch, f.name)
+        if isinstance(val, np.ndarray):
+            out.append(val)
+        elif is_dataclass(val):
+            out.extend(block_arrays(val))
+    return out
+
+
+def map_blocks(batch, fn: Callable[[np.ndarray], np.ndarray]):
+    """A copy of a block batch with ``fn`` applied to every array."""
+    changes = {}
+    for f in fields(batch):
+        val = getattr(batch, f.name)
+        if isinstance(val, np.ndarray):
+            changes[f.name] = fn(val)
+        elif is_dataclass(val):
+            changes[f.name] = map_blocks(val, fn)
+    return replace(batch, **changes)
+
+
+def concat_blocks(a, b):
+    """Block batch ``a`` followed by ``b`` along block axis 2 (one flush
+    appended to a cache's packed part)."""
+    # With every array blanked, only the static configuration compares.
+    if map_blocks(a, lambda _: None) != map_blocks(b, lambda _: None):
+        raise ValueError("cannot extend with blocks of a different configuration")
+    tail = iter(block_arrays(b))
+    return map_blocks(a, lambda x: np.concatenate([x, next(tail)], axis=2))
 
 
 #: Per-chunk working-set budget of the chunked flush, in K-or-V values.

@@ -29,10 +29,15 @@ def _assert_decode_parity(out_cont, out_paged, numerics_mode):
 
 
 class TestDecodeParity:
+    # Two flushes outgrow the dequant memos' spare block (2 packed blocks
+    # at the first decode), so both caches reallocate mid-run.
+    @pytest.mark.parametrize("flushes", [1, 2])
     @pytest.mark.parametrize("bits", [2, 4])
     @pytest.mark.parametrize("granularity", ["channel", "token"])
     @pytest.mark.parametrize("numerics_mode", ["exact_tiled", "fused"])
-    def test_paged_matches_contiguous_across_flushes(self, rng, bits, granularity, numerics_mode):
+    def test_paged_matches_contiguous_across_flushes(
+        self, rng, bits, granularity, numerics_mode, flushes
+    ):
         config = BitDecodingConfig(
             bits=bits, granularity=granularity, numerics_mode=numerics_mode, wn=1
         )
@@ -52,8 +57,8 @@ class TestDecodeParity:
         # Prefill attention is exact FP32 either way: bit-identical always.
         np.testing.assert_array_equal(out_c, out_p)
 
-        # Decode across a flush boundary (the residual fills and packs).
-        for _ in range(nr + 3):
+        # Decode across flush boundaries (the residual fills and packs).
+        for _ in range(flushes * nr + 3):
             k_new = rng.standard_normal((batch, hkv, d)).astype(np.float32)
             v_new = rng.standard_normal((batch, hkv, d)).astype(np.float32)
             cont.append_kv((k_new, v_new), hc)

@@ -60,21 +60,24 @@ def _assert_grouped_matches_looped(backend, bt, rng, steps, hq=HQ, d=D):
 
 class TestGroupedLoopedParity:
     @pytest.mark.parametrize(
-        "bits, granularity, numerics_mode, wn, coop",
+        "bits, granularity, numerics_mode, wn, coop, steps",
         [
-            (2, "channel", "fused", 1, True),
-            (2, "token", "exact_tiled", 1, True),
-            (4, "channel", "exact_tiled", 1, True),
-            (4, "token", "fused", 1, True),
+            (2, "channel", "fused", 1, True, 12),
+            (2, "token", "exact_tiled", 1, True, 12),
+            (4, "channel", "exact_tiled", 1, True, 12),
+            (4, "token", "fused", 1, True, 12),
             # Cooperative softmax: ragged residual fills group together.
-            (4, "channel", "fused", 4, True),
+            (4, "channel", "fused", 4, True, 12),
             # Broken non-cooperative softmax: partition-sensitive, so the
             # backend must fall back to exact-(n_blocks, res_len) groups.
-            (4, "channel", "exact_tiled", 2, False),
+            (4, "channel", "exact_tiled", 2, False, 12),
+            # 100 steps at N_r = 32 flush every member two or three times,
+            # past its dequant memo's spare block: the memos reallocate.
+            (4, "token", "exact_tiled", 1, True, 100),
         ],
     )
     def test_grouped_bit_identical_across_ragged_lengths(
-        self, rng, bits, granularity, numerics_mode, wn, coop
+        self, rng, bits, granularity, numerics_mode, wn, coop, steps
     ):
         config = BitDecodingConfig(
             bits=bits,
@@ -90,7 +93,7 @@ class TestGroupedLoopedParity:
         lengths = [4 * nr - 3, 4 * nr - 3, 4 * nr - 9, nr - 1, 2 * nr - 5, 3 * nr]
         backend = PagedBitBackend(config, n_pages=64, n_slots=16)
         bt = _ragged_batch(backend, lengths, rng)
-        _assert_grouped_matches_looped(backend, bt, rng, steps=12)
+        _assert_grouped_matches_looped(backend, bt, rng, steps=steps)
 
     def test_grouped_parity_across_swap(self, rng):
         """Swap a member out (slot freed, pages kept) and back in: the

@@ -18,7 +18,7 @@ class TestCorruption:
     def test_flipped_word_changes_decode_output(self, rng):
         """Bit flips in the packed cache must propagate to the output —
         the layout round trip is lossless, including for damage.  In-place
-        mutation bypasses the flush-epoch bookkeeping, so the memoized
+        mutation bypasses the append-only memo bookkeeping, so the memoized
         reconstruction must be dropped explicitly."""
         engine = BitDecoding(BitDecodingConfig(bits=4), "a100")
         k = rng.standard_normal((1, 1, 256, 32)).astype(np.float16)
