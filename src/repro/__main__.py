@@ -23,6 +23,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -112,427 +113,263 @@ def _cmd_experiment(name: str) -> None:
     lookup[name]().show()
 
 
-def _schedules_match(analytical, executed) -> bool:
-    return (
-        executed.executed_tokens == executed.total_generated_tokens
-        and executed.total_generated_tokens == analytical.total_generated_tokens
-        and executed.decode_steps == analytical.decode_steps
-        and executed.prefill_steps == analytical.prefill_steps
-        and executed.preemptions == analytical.preemptions
-    )
+def _check_flags(args, model, trace, nr: int) -> None:
+    """Reject flags the chosen serve-sim mode would ignore or misread.
 
-
-def _decoded_maps_bit_exact(decoded_a, decoded_b) -> bool:
-    """Two ``req_id -> [hidden states]`` maps, bit-compared."""
-    if decoded_a.keys() != decoded_b.keys():
-        return False
-    for req_id, steps_a in decoded_a.items():
-        steps_b = decoded_b[req_id]
-        if len(steps_a) != len(steps_b):
-            return False
-        if any(not np.array_equal(a, b) for a, b in zip(steps_a, steps_b)):
-            return False
-    return True
-
-
-def _decoded_bit_exact(runner_a, runner_b) -> bool:
-    """Every request's per-step decode hidden states, bit-compared."""
-    return _decoded_maps_bit_exact(runner_a.decoded, runner_b.decoded)
-
-
-def _chaos_outputs_recovered(chaos_engine, free_engine) -> bool:
-    """Chaos-run decode outputs vs the fault-free reference, bitwise.
-
-    Every request the chaos run decoded must be a *prefix* of the
-    fault-free run's outputs (timed-out requests stopped early), and a
-    request the chaos run FINISHED must match in full — recovery by
-    bit-exact replay means surviving faults costs time, never numerics.
+    One rule set for every mode; raises ValueError with the one-line
+    reason, which ``serve-sim`` turns into exit 2.
     """
-    chaos, free = chaos_engine._runner.decoded, free_engine._runner.decoded
-    finished = {lc.request.req_id for lc in chaos_engine.lifecycles if lc.finished}
-    for req_id, steps in chaos.items():
-        reference = free.get(req_id)
-        if reference is None or len(steps) > len(reference):
-            return False
-        if req_id in finished and len(steps) != len(reference):
-            return False
-        if any(not np.array_equal(a, b) for a, b in zip(steps, reference)):
-            return False
-    return True
-
-
-def _chaos_schedules_match(analytical, executed) -> bool:
-    """Fault outcomes, recovery actions and deadline decisions must land
-    on the same steps in both modes — the PR 7 determinism contract
-    extended to the whole degradation surface."""
-    same_counts = all(
-        getattr(analytical, f) == getattr(executed, f)
-        for f in (
-            "total_generated_tokens",
-            "prefill_steps",
-            "decode_steps",
-            "mixed_steps",
-            "preemptions",
-            "swap_outs",
-            "swap_ins",
-            "transfer_retries",
-            "lost_pages",
-            "checksum_failures",
-            "healed_pages",
-            "healed_requests",
-            "shed",
-            "timed_out",
-            "failed",
-            "completed",
-            "slow_steps",
+    chaos, execute = args.chaos is not None, args.execute
+    cluster = args.tp > 1 or args.replicas > 1
+    swap = args.preemption == "swap"
+    tiers = args.device_pages is not None or args.host_pages is not None or args.disk_pages
+    tiered = chaos or (execute and swap)
+    pool_mode = "--chaos" if chaos else "--preemption swap"
+    if not chaos and (args.deadline_ms, args.audit_every, args.max_heals) != (None,) * 3:
+        raise ValueError("--deadline-ms, --audit-every and --max-heals only apply to --chaos runs")
+    if args.deadline_ms is not None and args.deadline_ms <= 0:
+        raise ValueError(f"--deadline-ms must be positive (got {args.deadline_ms:g})")
+    if args.tp < 1 or args.replicas < 1:
+        raise ValueError(
+            f"--tp and --replicas must be >= 1 (got tp={args.tp}, replicas={args.replicas})"
         )
-    )
-    a, b = analytical.sim_time_s, executed.sim_time_s
-    return same_counts and abs(a - b) <= 1e-9 + 1e-6 * max(abs(a), abs(b))
-
-
-def _cmd_serve_sim_chaos(args, model, arch, trace) -> None:
-    """Fault injection over the tiered stack, with recovery cross-checks.
-
-    Arms the demo :class:`~repro.faults.plan.FaultSpec` (seeded by
-    ``--chaos``) on a swap-tiered INT4 stack and runs the trace under an
-    optional deadline policy.  Plain mode reports the analytical
-    degradation counters.  With ``--execute`` it additionally proves the
-    recovery machinery: the analytical and executed chaos schedules must
-    agree on every fault outcome and recovery action, all lost/corrupt
-    pages must have been healed with no request FAILED, the executed
-    decode outputs must be bit-identical to a fault-free reference run
-    wherever recovery succeeded, and the plan must actually have
-    exercised a retry, a heal and (under a deadline) a shed.
-    """
-    import json
-
-    from repro.attn import PagedBitBackend
-    from repro.core.attention import BitDecoding
-    from repro.core.config import BitDecodingConfig
-    from repro.faults import demo_fault_spec
-    from repro.model.memory import int_format
-    from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, EngineConfig
-
-    if args.page_size is not None or args.residual_window is not None:
-        print(
-            "serve-sim: --chaos runs the INT4 paged stack at page size N_r; "
-            "drop --page-size/--residual-window"
+    if args.replicas == 1 and args.router != "round_robin":
+        raise ValueError(
+            f"--router {args.router} routes across replicas; pass --replicas > 1 (or drop --router)"
         )
-        sys.exit(2)
-    if args.pages is not None:
-        print(
-            "serve-sim: --chaos injects faults on tier transfer legs, so the "
-            "pool is tiered; use --device-pages/--host-pages, not --pages"
+    if cluster and (chaos or swap or tiers):
+        raise ValueError(
+            "--chaos, --preemption swap and the tier sizes do not compose with "
+            "--tp/--replicas yet; use recompute preemption"
         )
-        sys.exit(2)
-    if args.device_pages is None or args.host_pages is None:
-        print(
-            "serve-sim: --chaos needs the tier geometry: --device-pages and "
-            "--host-pages (plus optional --disk-pages)"
+    if cluster and args.n_gpus not in (1, args.tp):
+        raise ValueError(
+            f"--tp {args.tp} spans one replica's GPUs, so --n-gpus must equal the tp degree "
+            f"(or be left at its default 1); got --n-gpus {args.n_gpus}"
         )
-        sys.exit(2)
-    if args.prefix_cache:
-        print("serve-sim: --chaos does not compose with --prefix-cache yet")
-        sys.exit(2)
-    if args.execute and model.param_count > 1e6:
-        print(
-            f"serve-sim: --execute runs real numerics and {model.name} has "
-            f"{model.param_count / 1e9:.1f}B parameters; use a toy model "
-            "(e.g. --model tiny)"
-        )
-        sys.exit(2)
-    kernel_config = BitDecodingConfig(bits=4, wn=1)
-    kernel = BitDecoding(kernel_config, arch)
-    nr = kernel_config.residual_block_size
-    worst = max(trace, key=lambda r: r.total_len, default=None)
-    if worst is not None and -(-worst.total_len // nr) > args.device_pages:
-        need = -(-worst.total_len // nr)
-        print(
-            f"serve-sim: request {worst.req_id} needs {need} device pages for "
-            f"its {worst.total_len}-token context but the device tier holds "
-            f"only {args.device_pages}; raise --device-pages to at least {need}"
-        )
-        sys.exit(2)
-    deadline_ms = args.deadline_ms
-    if deadline_ms is None and args.execute:
-        deadline_ms = 6.0  # the committed demo plan's shed pressure
-    spec = demo_fault_spec(args.chaos)
-    common = dict(
-        model=model,
-        arch=arch,
-        fmt=int_format(4, model, residual_window=nr),
-        page_size=nr,
-        max_batch=args.max_batch,
-        n_gpus=args.n_gpus,
-        max_steps=args.steps,
-        prefill_chunk_tokens=args.prefill_chunk,
-        preemption="swap",
-        device_pages=args.device_pages,
-        host_pages=args.host_pages,
-        disk_pages=args.disk_pages,
-    )
-    chaos = dict(
-        faults=spec,
-        audit_every=args.audit_every,
-        max_heals=args.max_heals,
-        deadline_policy=(
-            DeadlinePolicy(default_deadline_s=deadline_ms * 1e-3) if deadline_ms else None
-        ),
-    )
-    analytical = ContinuousBatchingEngine(
-        EngineConfig(attention=kernel, **chaos, **common), trace
-    ).run()
-    reports = {"analytical": analytical.to_dict()}
-    checks = {}
-    if args.execute:
-        execute = dict(execute=True, execute_seed=args.seed)
-        chaos_engine = ContinuousBatchingEngine(
-            EngineConfig(backend=PagedBitBackend(kernel), **execute, **chaos, **common),
-            trace,
-        )
-        executed = chaos_engine.run()
-        free_engine = ContinuousBatchingEngine(
-            EngineConfig(backend=PagedBitBackend(kernel), **execute, **common), trace
-        )
-        fault_free = free_engine.run()
-        checks["schedule_match"] = _chaos_schedules_match(analytical, executed)
-        checks["all_damage_healed"] = (
-            executed.failed == 0 and not chaos_engine.tiers.has_bad_pages
-        )
-        checks["outputs_bit_exact_after_recovery"] = _chaos_outputs_recovered(
-            chaos_engine, free_engine
-        )
-        checks["exercised_retry"] = executed.transfer_retries >= 1
-        checks["exercised_heal"] = executed.healed_pages >= 1
-        if deadline_ms:
-            checks["exercised_shed"] = executed.shed >= 1
-        reports["executed"] = executed.to_dict()
-        reports["fault_free"] = fault_free.to_dict()
-    report = executed if args.execute else analytical
-    ok = all(checks.values())
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "model": model.name,
-                    "arch": arch.name,
-                    "mode": "chaos-execute" if args.execute else "chaos",
-                    "chaos_seed": args.chaos,
-                    "deadline_ms": deadline_ms,
-                    "audit_every": args.audit_every,
-                    "checks": checks,
-                    "reports": reports,
-                },
-                indent=2,
-            )
-        )
-    else:
-        pool = (
-            f"device {args.device_pages} + host {args.host_pages}"
-            + (f" + disk {args.disk_pages}" if args.disk_pages else "")
-        )
-        print(
-            f"serve-sim --chaos {args.chaos}: {model.name} on {arch.name} | "
-            f"INT4 paged-bit, {pool} pages, swap preemption"
-            + (f", deadline {deadline_ms:g} ms" if deadline_ms else ", best-effort")
-            + (", executed" if args.execute else ", analytical")
-        )
-        print(
-            f"  outcome: {report.completed} finished ({report.deadline_met} in "
-            f"deadline), {report.shed} shed, {report.timed_out} timed out, "
-            f"{report.failed} failed of {report.n_requests}"
-        )
-        print(
-            f"  faults: {report.transfer_retries} retries "
-            f"({report.retry_backoff_s * 1e3:.3f} ms backoff), "
-            f"{report.lost_pages} lost pages, {report.checksum_failures} "
-            f"checksum failures, {report.slow_steps} slow steps"
-        )
-        print(
-            f"  recovery: {report.healed_pages} pages healed via "
-            f"{report.healed_requests} request replays, {report.audits} audits clean"
-        )
-        print(
-            f"  goodput: {report.goodput_tokens_per_s:.1f} tok/s in-deadline vs "
-            f"{report.sustained_tokens_per_s:.1f} tok/s generated"
-        )
-        for name, value in checks.items():
-            print(f"  check {name}: {value}")
-    if not ok:
-        sys.exit(1)
-
-
-def _cmd_serve_sim_execute(args, model, arch, trace) -> None:
-    """Real-token execution: schedule with the same clock, run the numerics.
-
-    Runs the trace twice over an identical INT4 stack — once purely
-    analytical, once with ``execute=True`` so every scheduler step pushes
-    real tokens through TinyTransformer + the paged low-bit cache sharing
-    the engine's page table — and checks the schedules agree token for
-    token.  With ``--prefix-cache`` two more executed runs pin down the
-    sharing machinery: a ``prefix_share=False`` run (hits copied into
-    private pages) must decode bit-identical hidden states, and a
-    cache-off run must be strictly slower on a shared-prefix trace.
-    """
-    import json
-
-    from repro.attn import PagedBitBackend
-    from repro.core.attention import BitDecoding
-    from repro.core.config import BitDecodingConfig
-    from repro.model.memory import int_format
-    from repro.serving import ContinuousBatchingEngine, EngineConfig
-
-    # wn=1 keeps N_r (= page size in execute mode) small enough for short
-    # CI-sized prompts to span several pages.
-    if args.page_size is not None or args.residual_window is not None:
-        print(
-            "serve-sim: --execute derives --page-size and --residual-window "
+    if (chaos or execute) and (args.page_size is not None or args.residual_window is not None):
+        raise ValueError(
+            f"{'--chaos' if chaos else '--execute'} derives --page-size and --residual-window "
             "from the kernel's residual block size N_r; drop those flags"
         )
-        sys.exit(2)
     # The runner allocates the model's weights for real; a serving-scale
     # LLM would be tens of GB of float32 before the first step runs.
-    if model.param_count > 1e6:
-        print(
-            f"serve-sim: --execute runs real numerics and {model.name} has "
-            f"{model.param_count / 1e9:.1f}B parameters; use a toy model "
-            "(e.g. --model tiny)"
+    if execute and model.param_count > 1e6:
+        raise ValueError(
+            f"--execute runs real numerics and {model.name} has "
+            f"{model.param_count / 1e9:.1f}B parameters; use a toy model (e.g. --model tiny)"
         )
-        sys.exit(2)
-    kernel_config = BitDecodingConfig(bits=4, wn=1)
-    kernel = BitDecoding(kernel_config, arch)
-    nr = kernel_config.residual_block_size
-    fmt = int_format(4, model, residual_window=nr)
-    swap = args.preemption == "swap"
-    if swap and args.pages is not None:
-        print(
-            "serve-sim: --preemption swap sizes the pool from the tier "
-            "geometry; use --device-pages/--host-pages, not --pages"
+    if args.pages is not None and (tiered or not execute):
+        raise ValueError(
+            f"{pool_mode} sizes the pool from the tier geometry; use "
+            "--device-pages/--host-pages, not --pages"
+            if tiered
+            else "--pages only applies to --execute runs"
         )
-        sys.exit(2)
-    if swap and (args.device_pages is None or args.host_pages is None):
-        print(
-            "serve-sim: --preemption swap needs --device-pages and "
-            "--host-pages (the pool is their sum plus --disk-pages)"
+    if tiered and (args.device_pages is None or args.host_pages is None):
+        raise ValueError(
+            f"{pool_mode} needs --device-pages and --host-pages (the pool is their sum "
+            "plus --disk-pages)"
         )
-        sys.exit(2)
-    n_pages = 96 if args.pages is None else args.pages
-    # A request whose own context outgrows the tier every decode step must
-    # fit in could never finish even with the pool to itself; the engine
-    # would silently reject it, which reads as a mystery shortfall in the
-    # completion counts.  Fail fast with the fix spelled out instead.
-    fit_pages = args.device_pages if swap else n_pages
-    worst = max(trace, key=lambda r: r.total_len, default=None)
-    if worst is not None and -(-worst.total_len // nr) > fit_pages:
-        need = -(-worst.total_len // nr)
-        tier = "device tier" if swap else "page pool"
-        fix = (
-            f"raise --device-pages to at least {need}"
-            if swap
-            else f"raise --pages to at least {need}, or offload with "
-            f"--preemption swap --device-pages {need} --host-pages {need}"
+    if not tiered and (swap or tiers):
+        raise ValueError(
+            "--preemption swap and the tier sizes only apply to --execute --preemption swap "
+            "(or --chaos) runs"
         )
-        print(
-            f"serve-sim: request {worst.req_id} needs {need} pages for its "
-            f"{worst.total_len}-token context (prompt + output) but the "
-            f"{tier} holds only {fit_pages}; it can never complete, even "
-            f"alone — {fix}"
+    if chaos and args.prefix_cache:
+        raise ValueError("--chaos does not compose with --prefix-cache yet")
+    # A request whose context outgrows the tier it must decode in could never
+    # finish; the engine would silently reject it, so fail fast with the fix.
+    worst = max(trace, key=lambda r: r.total_len)
+    need = -(-worst.total_len // nr)
+    fit = args.device_pages if tiered else 96 if args.pages is None else args.pages
+    if (execute or chaos) and need > fit:
+        fix = f"raise --{'device-pages' if tiered else 'pages'} to at least {need}"
+        if not (tiered or cluster):
+            fix += f", or offload with --preemption swap --device-pages {need} --host-pages {need}"
+        raise ValueError(
+            f"request {worst.req_id} needs {need} pages for its {worst.total_len}-token "
+            f"context (prompt + output) but the {'device tier' if tiered else 'page pool'} "
+            f"holds only {fit}; it can never complete, even alone — {fix}"
         )
-        sys.exit(2)
-    common = dict(
-        model=model,
-        arch=arch,
-        fmt=fmt,
-        page_size=nr,
+
+
+def _knobs(args) -> dict:
+    """Engine fields every serve-sim mode takes straight from its flags."""
+    return dict(
         max_batch=args.max_batch,
-        n_gpus=args.n_gpus,
+        n_gpus=args.tp if args.tp > 1 else args.n_gpus,
         max_steps=args.steps,
         prefill_chunk_tokens=args.prefill_chunk,
         prefix_cache=args.prefix_cache,
     )
-    if swap:
-        common.update(
+
+
+def _stack(args, model, arch):
+    """The INT4 paged stack every engine of a cross-check mode runs on."""
+    from repro.verify import int4_paged_stack
+
+    knobs = dict(_knobs(args), tp=args.tp, execute_seed=args.seed)
+    if args.chaos is not None or args.preemption == "swap":
+        knobs.update(
             preemption="swap",
             device_pages=args.device_pages,
             host_pages=args.host_pages,
             disk_pages=args.disk_pages,
         )
-    else:
-        common["n_pages"] = n_pages
-    execute = dict(execute=True, execute_seed=args.seed)
-    analytical = ContinuousBatchingEngine(EngineConfig(attention=kernel, **common), trace).run()
-    executed_engine = ContinuousBatchingEngine(
-        EngineConfig(backend=PagedBitBackend(kernel), **execute, **common), trace
+    elif args.execute:
+        knobs["n_pages"] = 96 if args.pages is None else args.pages
+    return int4_paged_stack(model, arch, args.page_size, args.residual_window, **knobs)
+
+
+def _tier_pool(args) -> str:
+    disk = f" + disk {args.disk_pages}" if args.disk_pages else ""
+    return f"device {args.device_pages} + host {args.host_pages}{disk} pages, swap preemption"
+
+
+def _emit(args, model, arch, payload, lines, show_checks=True) -> None:
+    """Print a cross-check run as JSON or text; exit 1 if any check failed."""
+    checks = payload["checks"] = {name: bool(ok) for name, ok in payload["checks"].items()}
+    if show_checks:
+        lines += [f"  check {name}: {ok}" for name, ok in checks.items()]
+    payload = {"model": model.name, "arch": arch.name, **payload}
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    if not all(checks.values()):
+        sys.exit(1)
+
+
+def _run_chaos(args, model, arch, stack, trace) -> None:
+    """``--chaos``: the seeded demo fault plan over the swap-tiered stack.
+
+    Plain mode reports the analytical degradation counters.  ``--execute``
+    also proves recovery — schedule parity under faults, all damage
+    healed, outputs bit-exact against a fault-free run — and that the
+    plan exercised a retry, a heal and (under a deadline) a shed.
+    """
+    from repro import verify
+    from repro.faults import demo_fault_spec
+    from repro.serving import DeadlinePolicy
+
+    # An executed run defaults to the committed demo plan's shed pressure.
+    deadline_ms = 6.0 if args.deadline_ms is None and args.execute else args.deadline_ms
+    audit_every = 10 if args.audit_every is None else args.audit_every
+    chaos = dict(
+        faults=demo_fault_spec(args.chaos),
+        audit_every=audit_every,
+        max_heals=5 if args.max_heals is None else args.max_heals,
+        deadline_policy=(
+            None if deadline_ms is None else DeadlinePolicy(default_deadline_s=deadline_ms * 1e-3)
+        ),
     )
-    executed = executed_engine.run()
-    checks = {"schedule_match": _schedules_match(analytical, executed)}
-    reports = {"analytical": analytical.to_dict(), "executed": executed.to_dict()}
-    if swap:
-        # Two recompute references bracket the swap run: an *unpressured*
-        # pool of the same total page count proves swapped-and-restored
-        # decode is bit-identical to never-swapped decode, and a pool of
-        # just the device tier shows what the same device budget costs
-        # when pressure is paid in recomputation instead of PCIe traffic.
-        untiered = {
-            k: v
-            for k, v in common.items()
-            if k not in ("preemption", "device_pages", "host_pages", "disk_pages")
+    report = analytical = stack.engine(trace, execute=False, **chaos).run()
+    reports, checks = {"analytical": analytical.to_dict()}, {}
+    if args.execute:
+        chaos_engine = stack.engine(trace, **chaos)
+        report = chaos_engine.run()
+        free_engine = stack.engine(trace)
+        fault_free = free_engine.run()
+        checks = {
+            "schedule_match": verify.schedule_match(
+                analytical, report, verify.CHAOS_FIELDS, time_tol=1e-6
+            ),
+            "all_damage_healed": report.failed == 0 and not chaos_engine.tiers.has_bad_pages,
+            "outputs_bit_exact_after_recovery": verify.decoded_bit_exact(
+                chaos_engine, free_engine, finished=verify.finished_ids(chaos_engine)
+            ),
+            "exercised_retry": report.transfer_retries >= 1,
+            "exercised_heal": report.healed_pages >= 1,
         }
+        if deadline_ms is not None:
+            checks["exercised_shed"] = report.shed >= 1
+        reports.update(executed=report.to_dict(), fault_free=fault_free.to_dict())
+    payload = {
+        "mode": "chaos-execute" if args.execute else "chaos",
+        "chaos_seed": args.chaos,
+        "deadline_ms": deadline_ms,
+        "audit_every": audit_every,
+        "checks": checks,
+        "reports": reports,
+    }
+    lines = [
+        f"serve-sim --chaos {args.chaos}: {model.name} on {arch.name} | "
+        f"INT4 paged-bit, {_tier_pool(args)}"
+        + (", best-effort" if deadline_ms is None else f", deadline {deadline_ms:g} ms")
+        + (", executed" if args.execute else ", analytical"),
+        f"  outcome: {report.completed} finished ({report.deadline_met} in "
+        f"deadline), {report.shed} shed, {report.timed_out} timed out, "
+        f"{report.failed} failed of {report.n_requests}",
+        f"  faults: {report.transfer_retries} retries "
+        f"({report.retry_backoff_s * 1e3:.3f} ms backoff), "
+        f"{report.lost_pages} lost pages, {report.checksum_failures} "
+        f"checksum failures, {report.slow_steps} slow steps",
+        f"  recovery: {report.healed_pages} pages healed via "
+        f"{report.healed_requests} request replays, {report.audits} audits clean",
+        f"  goodput: {report.goodput_tokens_per_s:.1f} tok/s in-deadline vs "
+        f"{report.sustained_tokens_per_s:.1f} tok/s generated",
+    ]
+    _emit(args, model, arch, payload, lines)
+
+
+def _run_execute(args, model, arch, stack, trace) -> None:
+    """``--execute``: real tokens through TinyTransformer + the paged cache.
+
+    The executed schedule must match the analytical one token for token.
+    ``--preemption swap`` adds never-swapped and recompute references;
+    ``--prefix-cache`` adds a page-copying run (bit-identical decode) and
+    a cache-off run (strictly slower on a shared-prefix trace).
+    """
+    from repro import verify
+
+    swap = args.preemption == "swap"
+    analytical = stack.engine(trace, execute=False).run()
+    engine = stack.engine(trace)
+    executed = engine.run()
+    checks = {"schedule_match": verify.schedule_match(analytical, executed, verify.EXECUTE_FIELDS)}
+    reports = {"analytical": analytical.to_dict(), "executed": executed.to_dict()}
+    pool = _tier_pool(args) if swap else f"{stack.knobs['n_pages']} pages"
+    lines = [
+        f"serve-sim --execute: {model.name} on {arch.name} | INT4 paged-bit, "
+        f"page {verify.NR} tok (= N_r), {pool}" + (", prefix cache on" if args.prefix_cache else "")
+    ]
+    for label, r in (("analytical", analytical), ("executed", executed)):
+        ran = "-" if r.executed_tokens is None else str(r.executed_tokens)
+        lines.append(
+            f"  {label:<10} generated {r.total_generated_tokens:>5} tok (ran {ran:>5}), "
+            f"decode steps {r.decode_steps}, preemptions {r.preemptions}, done {r.completed}"
+        )
+    if swap:
+        # Two recompute references bracket the swap run: an unpressured pool
+        # of the same total pages (swapped ≡ never-swapped decode) and one of
+        # just the device tier (the same budget paid in recomputation).
+        untiered = dict(preemption="recompute", device_pages=None, host_pages=None, disk_pages=0)
         total_pages = args.device_pages + args.host_pages + args.disk_pages
-        baseline_engine = ContinuousBatchingEngine(
-            EngineConfig(
-                backend=PagedBitBackend(kernel),
-                **execute,
-                **{**untiered, "n_pages": total_pages},
-            ),
-            trace,
-        )
+        baseline_engine = stack.engine(trace, n_pages=total_pages, **untiered)
         baseline = baseline_engine.run()
-        pressured = ContinuousBatchingEngine(
-            EngineConfig(
-                backend=PagedBitBackend(kernel),
-                **execute,
-                **{**untiered, "n_pages": args.device_pages},
-            ),
-            trace,
-        ).run()
+        pressured = stack.engine(trace, n_pages=args.device_pages, **untiered).run()
         checks["all_completed"] = executed.completed == len(trace)
-        checks["swap_vs_unpressured_bit_exact"] = _decoded_bit_exact(
-            executed_engine._runner, baseline_engine._runner
-        )
+        checks["swap_vs_unpressured_bit_exact"] = verify.decoded_bit_exact(engine, baseline_engine)
         if executed.swap_outs:
             checks["swap_faster_than_recompute"] = (
                 executed.sustained_tokens_per_s > pressured.sustained_tokens_per_s
             )
         reports["recompute_unpressured"] = baseline.to_dict()
         reports["recompute_pressured"] = pressured.to_dict()
+        lines += [
+            f"  offload: swap-outs {executed.swap_outs}, swap-ins {executed.swap_ins}, "
+            f"faults {executed.offload_faults}, stall {executed.offload_stall_s * 1e3:.2f} ms, "
+            f"d2h {executed.offload_d2h_bytes} B, h2d {executed.offload_h2d_bytes} B",
+            f"  throughput: swap {executed.sustained_tokens_per_s:.1f} tok/s vs "
+            f"recompute@device {pressured.sustained_tokens_per_s:.1f} tok/s vs "
+            f"unpressured {baseline.sustained_tokens_per_s:.1f} tok/s",
+        ]
     if args.prefix_cache:
-        copied_engine = ContinuousBatchingEngine(
-            EngineConfig(
-                backend=PagedBitBackend(kernel),
-                **execute,
-                **{**common, "prefix_share": False},
-            ),
-            trace,
-        )
+        copied_engine = stack.engine(trace, prefix_share=False)
         copied = copied_engine.run()
-        off = ContinuousBatchingEngine(
-            EngineConfig(
-                backend=PagedBitBackend(kernel),
-                **execute,
-                **{**common, "prefix_cache": False},
-            ),
-            trace,
-        ).run()
-        checks["share_vs_copy_schedule_match"] = (
-            copied.sim_time_s == executed.sim_time_s
-            and copied.prefix_hit_tokens == executed.prefix_hit_tokens
-            and copied.total_generated_tokens == executed.total_generated_tokens
+        off = stack.engine(trace, prefix_cache=False).run()
+        checks["share_vs_copy_schedule_match"] = verify.schedule_match(
+            executed, copied, ("sim_time_s", "prefix_hit_tokens", "total_generated_tokens")
         )
-        checks["share_vs_copy_bit_exact"] = _decoded_bit_exact(
-            executed_engine._runner, copied_engine._runner
-        )
+        checks["share_vs_copy_bit_exact"] = verify.decoded_bit_exact(engine, copied_engine)
         if args.shared_prefix > 0:
             checks["hit_rate_positive"] = executed.prefix_hit_rate > 0
             checks["faster_than_cache_off"] = (
@@ -541,304 +378,104 @@ def _cmd_serve_sim_execute(args, model, arch, trace) -> None:
             checks["more_effective_capacity"] = (
                 executed.effective_capacity_pages > off.effective_capacity_pages
             )
-        reports["executed_copy"] = copied.to_dict()
-        reports["cache_off"] = off.to_dict()
-    match = all(checks.values())
-    if args.json:
-        print(json.dumps({
-            "model": model.name,
-            "arch": arch.name,
-            "mode": "execute",
-            "page_size": nr,
-            "prefix_cache": args.prefix_cache,
-            "schedule_match": checks["schedule_match"],
-            "checks": checks,
-            "reports": reports,
-        }, indent=2))
-    else:
-        pool = (
-            f"device {args.device_pages} + host {args.host_pages}"
-            + (f" + disk {args.disk_pages}" if args.disk_pages else "")
-            + " pages, swap preemption"
-            if swap
-            else f"{n_pages} pages"
+        reports.update(executed_copy=copied.to_dict(), cache_off=off.to_dict())
+        lines.append(
+            f"  prefix cache: hit rate {executed.prefix_hit_rate:.3f} "
+            f"({executed.prefix_hit_tokens}/{executed.prefix_probe_tokens} tok), "
+            f"shared pages peak {executed.shared_pages_peak}, "
+            f"effective capacity {executed.effective_capacity_pages} pages"
         )
-        print(
-            f"serve-sim --execute: {model.name} on {arch.name} | INT4 paged-bit, "
-            f"page {nr} tok (= N_r), {pool}"
-            + (", prefix cache on" if args.prefix_cache else "")
-        )
-        for label, r in (("analytical", analytical), ("executed", executed)):
-            ran = "-" if r.executed_tokens is None else str(r.executed_tokens)
-            print(
-                f"  {label:<10} generated {r.total_generated_tokens:>5} tok "
-                f"(ran {ran:>5}), decode steps {r.decode_steps}, "
-                f"preemptions {r.preemptions}, done {r.completed}"
-            )
-        if swap:
-            print(
-                f"  offload: swap-outs {executed.swap_outs}, "
-                f"swap-ins {executed.swap_ins}, faults {executed.offload_faults}, "
-                f"stall {executed.offload_stall_s * 1e3:.2f} ms, "
-                f"d2h {executed.offload_d2h_bytes} B, h2d {executed.offload_h2d_bytes} B"
-            )
-            print(
-                f"  throughput: swap {executed.sustained_tokens_per_s:.1f} tok/s vs "
-                f"recompute@device {pressured.sustained_tokens_per_s:.1f} tok/s vs "
-                f"unpressured {baseline.sustained_tokens_per_s:.1f} tok/s"
-            )
-        if args.prefix_cache:
-            print(
-                f"  prefix cache: hit rate {executed.prefix_hit_rate:.3f} "
-                f"({executed.prefix_hit_tokens}/{executed.prefix_probe_tokens} tok), "
-                f"shared pages peak {executed.shared_pages_peak}, "
-                f"effective capacity {executed.effective_capacity_pages} pages"
-            )
-        if swap or args.prefix_cache:
-            for name, ok in checks.items():
-                print(f"  check {name}: {ok}")
-        else:
-            print(f"token counts match the analytical schedule: {match}")
-    if not match:
-        sys.exit(1)
+    cross_checked = swap or args.prefix_cache
+    if not cross_checked:
+        lines.append(f"token counts match the analytical schedule: {all(checks.values())}")
+    payload = {
+        "mode": "execute",
+        "page_size": verify.NR,
+        "prefix_cache": args.prefix_cache,
+        "schedule_match": bool(checks["schedule_match"]),
+        "checks": checks,
+        "reports": reports,
+    }
+    _emit(args, model, arch, payload, lines, show_checks=cross_checked)
 
 
-def _cmd_serve_sim_cluster(args, model, arch, trace) -> None:
-    """Cluster serving: TP-sharded engines behind a data-parallel router.
+def _run_cluster(args, model, arch, stack, trace) -> None:
+    """``--tp``/``--replicas``: TP-sharded engines behind a request router.
 
-    ``--tp N`` head-shards each engine's page pool across N tensor-parallel
-    ranks (pricing pays one rank's attention plus the all-reduce tax;
-    ``--execute`` runs rank-local decode through
-    :class:`~repro.cluster.sharding.ShardedPagedBackend` and concatenates
-    head outputs).  ``--replicas M`` fronts M independent engines with a
-    :class:`~repro.cluster.router.Router` dispatching by ``--router``
-    policy.  Under ``--execute`` the run is cross-checked hard: every
-    request must complete exactly once across replicas, each replica's
-    decoded streams must be bit-identical to a single-rank (tp=1) rerun
-    of its dispatched subset, and — without ``--prefix-cache``, whose hit
-    pattern legitimately depends on request co-location — the merged
-    cluster outputs must be bit-identical to one single-rank,
-    single-replica engine running the whole trace.
+    ``--execute`` checks exactly-once dispatch, each replica against a
+    single-rank rerun of its subset and — without ``--prefix-cache``,
+    whose hits depend on request co-location — the merged outputs
+    against one single-rank engine serving the whole trace.
     """
-    import json
-
-    from repro.attn import PagedBitBackend
-    from repro.cluster import Router, ShardedPagedBackend
-    from repro.core.attention import BitDecoding
-    from repro.core.config import BitDecodingConfig
+    from repro import verify
+    from repro.cluster import Router
     from repro.model.inference import decode_step_breakdown
-    from repro.model.memory import int_format
-    from repro.serving import ContinuousBatchingEngine, EngineConfig
 
-    tp, replicas = args.tp, args.replicas
-    if args.chaos is not None:
-        print("serve-sim: --chaos does not compose with --tp/--replicas yet")
-        sys.exit(2)
-    if (
-        args.preemption != "recompute"
-        or args.device_pages is not None
-        or args.host_pages is not None
-        or args.disk_pages
-    ):
-        print(
-            "serve-sim: --preemption swap and the tier sizes do not compose "
-            "with --tp/--replicas yet; use recompute preemption"
-        )
-        sys.exit(2)
-    if args.n_gpus not in (1, tp):
-        print(
-            f"serve-sim: --tp {tp} spans one replica's GPUs, so --n-gpus must "
-            f"equal the tp degree (or be left at its default 1); got "
-            f"--n-gpus {args.n_gpus}"
-        )
-        sys.exit(2)
-    kernel_config = BitDecodingConfig(bits=4, wn=1)
-    kernel = BitDecoding(kernel_config, arch)
-    nr = kernel_config.residual_block_size
-    if args.execute:
-        if args.page_size is not None or args.residual_window is not None:
-            print(
-                "serve-sim: --execute derives --page-size and "
-                "--residual-window from the kernel's residual block size "
-                "N_r; drop those flags"
-            )
-            sys.exit(2)
-        if model.param_count > 1e6:
-            print(
-                f"serve-sim: --execute runs real numerics and {model.name} "
-                f"has {model.param_count / 1e9:.1f}B parameters; use a toy "
-                "model (e.g. --model tiny)"
-            )
-            sys.exit(2)
-        page_size = nr
-        n_pages = 96 if args.pages is None else args.pages
-        worst = max(trace, key=lambda r: r.total_len, default=None)
-        if worst is not None and -(-worst.total_len // nr) > n_pages:
-            need = -(-worst.total_len // nr)
-            print(
-                f"serve-sim: request {worst.req_id} needs {need} pages for "
-                f"its {worst.total_len}-token context but the page pool "
-                f"holds only {n_pages}; raise --pages to at least {need}"
-            )
-            sys.exit(2)
-        residual_window = nr
-    else:
-        if args.pages is not None:
-            print("serve-sim: --pages only applies to --execute runs")
-            sys.exit(2)
-        page_size = 64 if args.page_size is None else args.page_size
-        n_pages = None
-        residual_window = 64 if args.residual_window is None else args.residual_window
-    common = dict(
-        model=model,
-        arch=arch,
-        fmt=int_format(4, model, residual_window=residual_window),
-        page_size=page_size,
-        n_pages=n_pages,
-        max_batch=args.max_batch,
-        n_gpus=tp,
-        tp=tp,
-        max_steps=args.steps,
-        prefill_chunk_tokens=args.prefill_chunk,
-        prefix_cache=args.prefix_cache,
-    )
-    if args.execute:
-        backend = (
-            ShardedPagedBackend(kernel, tp=tp) if tp > 1 else PagedBitBackend(kernel)
-        )
-        config = EngineConfig(
-            backend=backend, execute=True, execute_seed=args.seed, **common
-        )
-    else:
-        config = EngineConfig(attention=kernel, **common)
-    router = Router(config, trace, replicas=replicas, policy=args.router)
+    tp = args.tp
+    router = Router(stack.config(args.execute), trace, replicas=args.replicas, policy=args.router)
     cluster = router.run()
-
     checks = {}
     if args.execute:
-        handled = sorted(
-            lc.request.req_id for engine in router.engines for lc in engine.lifecycles
-        )
-        finished = [
-            lc.request.req_id
-            for engine in router.engines
-            for lc in engine.lifecycles
-            if lc.finished
-        ]
-        checks["exactly_once_across_replicas"] = (
-            handled == sorted(r.req_id for r in trace)
-            and len(finished) == len(set(finished)) == len(trace)
-        )
-        # Single-rank references: rerun each replica's dispatched subset on
-        # a tp=1 engine of the same config.  The schedule may differ (tp
-        # pricing moves the clock) but decode numerics are schedule-
-        # independent, so the streams must match bit for bit.
-        single = {**common, "n_gpus": 1, "tp": 1}
-        bit_exact = True
-        for engine in router.engines:
-            subset = [lc.request for lc in engine.lifecycles]
-            reference = ContinuousBatchingEngine(
-                EngineConfig(
-                    backend=PagedBitBackend(kernel),
-                    execute=True,
-                    execute_seed=args.seed,
-                    **single,
-                ),
-                subset,
-            )
-            reference.run()
-            if not _decoded_bit_exact(engine._runner, reference._runner):
-                bit_exact = False
-        checks["tp_decode_bit_exact_vs_single_rank"] = bit_exact
+        single = stack.config(n_gpus=1, tp=1)
+        checks["exactly_once_across_replicas"] = verify.exactly_once(router, trace)
+        checks["tp_decode_bit_exact_vs_single_rank"] = verify.matches_single_rank(router, single)
         if not args.prefix_cache:
-            whole = ContinuousBatchingEngine(
-                EngineConfig(
-                    backend=PagedBitBackend(kernel),
-                    execute=True,
-                    execute_seed=args.seed,
-                    **single,
-                ),
-                trace,
+            checks["cluster_bit_exact_vs_single_engine"] = verify.matches_single_engine(
+                router, single, trace
             )
-            whole.run()
-            merged = {}
-            for engine in router.engines:
-                merged.update(engine._runner.decoded)
-            checks["cluster_bit_exact_vs_single_engine"] = _decoded_maps_bit_exact(
-                merged, whole._runner.decoded
-            )
-    ok = all(checks.values())
-
     peak = max((r.peak_resident_batch for r in cluster.per_replica), default=0) or 1
     seq = max((r.total_len for r in trace), default=1)
-    sharded = decode_step_breakdown(model, arch, kernel, peak, seq, n_gpus=tp, tp=tp)
-    full = decode_step_breakdown(model, arch, kernel, peak, seq)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "model": model.name,
-                    "arch": arch.name,
-                    "mode": "cluster-execute" if args.execute else "cluster",
-                    "tp": tp,
-                    "replicas": replicas,
-                    "router": args.router,
-                    "allreduce_tax_ms": sharded.comm_ms,
-                    "rank_attention_ms": sharded.attention_ms,
-                    "full_attention_ms": full.attention_ms,
-                    "checks": checks,
-                    "cluster": cluster.to_dict(),
-                },
-                indent=2,
-            )
+    sharded = decode_step_breakdown(model, arch, stack.kernel, peak, seq, n_gpus=tp, tp=tp)
+    full = decode_step_breakdown(model, arch, stack.kernel, peak, seq)
+    payload = {
+        "mode": "cluster-execute" if args.execute else "cluster",
+        "tp": tp,
+        "replicas": args.replicas,
+        "router": args.router,
+        "allreduce_tax_ms": sharded.comm_ms,
+        "rank_attention_ms": sharded.attention_ms,
+        "full_attention_ms": full.attention_ms,
+        "checks": checks,
+        "cluster": cluster.to_dict(),
+    }
+    p99_ttft = cluster.p99_ttft_s if cluster.p99_ttft_s is None else round(cluster.p99_ttft_s, 4)
+    p99_tbt = cluster.p99_tbt_s if cluster.p99_tbt_s is None else round(cluster.p99_tbt_s * 1e3, 3)
+    lines = [
+        f"serve-sim cluster: {model.name} on {arch.name} | INT4, "
+        f"tp {tp} x {args.replicas} replica{'s' if args.replicas != 1 else ''}, "
+        f"router {args.router}"
+        + (", prefix cache on" if args.prefix_cache else "")
+        + (", executed" if args.execute else ", analytical"),
+        f"  aggregate: {cluster.completed} done of {cluster.n_requests}, "
+        f"{cluster.sustained_tokens_per_s:.1f} tok/s "
+        f"(goodput {cluster.goodput_tokens_per_s:.1f}), "
+        f"p99 ttft {p99_ttft} s, p99 tbt {p99_tbt} ms",
+        f"  routing: dispatch {cluster.dispatch_counts}, "
+        f"imbalance {cluster.load_imbalance:.2f}, "
+        f"prefix groups {cluster.prefix_groups_seen} ({cluster.prefix_groups_split} split), "
+        f"cross-replica prefix misses {cluster.cross_replica_prefix_misses}",
+    ]
+    if tp > 1:
+        lines.append(
+            f"  tp pricing: all-reduce tax {sharded.comm_ms:.4f} ms/step, "
+            f"rank attention {sharded.attention_ms:.4f} ms vs full "
+            f"{full.attention_ms:.4f} ms (batch {peak}, seq {seq})"
         )
-    else:
-        print(
-            f"serve-sim cluster: {model.name} on {arch.name} | INT4, "
-            f"tp {tp} x {replicas} replica{'s' if replicas != 1 else ''}, "
-            f"router {args.router}"
-            + (", prefix cache on" if args.prefix_cache else "")
-            + (", executed" if args.execute else ", analytical")
+    for i, r in enumerate(cluster.per_replica):
+        lines.append(
+            f"  replica {i}: {cluster.dispatch_counts[i]} requests, done {r.completed}, "
+            f"{r.sustained_tokens_per_s:.1f} tok/s, preemptions {r.preemptions}"
+            + (f", prefix hit rate {r.prefix_hit_rate:.3f}" if args.prefix_cache else "")
         )
-        print(
-            f"  aggregate: {cluster.completed} done of {cluster.n_requests}, "
-            f"{cluster.sustained_tokens_per_s:.1f} tok/s "
-            f"(goodput {cluster.goodput_tokens_per_s:.1f}), "
-            f"p99 ttft {cluster.p99_ttft_s if cluster.p99_ttft_s is None else round(cluster.p99_ttft_s, 4)} s, "
-            f"p99 tbt {cluster.p99_tbt_s if cluster.p99_tbt_s is None else round(cluster.p99_tbt_s * 1e3, 3)} ms"
-        )
-        print(
-            f"  routing: dispatch {cluster.dispatch_counts}, "
-            f"imbalance {cluster.load_imbalance:.2f}, prefix groups "
-            f"{cluster.prefix_groups_seen} ({cluster.prefix_groups_split} split), "
-            f"cross-replica prefix misses {cluster.cross_replica_prefix_misses}"
-        )
-        if tp > 1:
-            print(
-                f"  tp pricing: all-reduce tax {sharded.comm_ms:.4f} ms/step, "
-                f"rank attention {sharded.attention_ms:.4f} ms vs full "
-                f"{full.attention_ms:.4f} ms (batch {peak}, seq {seq})"
-            )
-        for i, r in enumerate(cluster.per_replica):
-            print(
-                f"  replica {i}: {cluster.dispatch_counts[i]} requests, "
-                f"done {r.completed}, {r.sustained_tokens_per_s:.1f} tok/s, "
-                f"preemptions {r.preemptions}"
-                + (f", prefix hit rate {r.prefix_hit_rate:.3f}" if args.prefix_cache else "")
-            )
-        for name, value in checks.items():
-            print(f"  check {name}: {value}")
-    if not ok:
-        sys.exit(1)
+    _emit(args, model, arch, payload, lines)
 
 
 def _cmd_serve_sim(args) -> None:
-    import json
-
     from repro.gpu.arch import get_arch
     from repro.model.config import get_model
     from repro.model.serving import ServingOOMError
     from repro.serving import compare_formats, paper_serving_stacks, poisson_trace
+    from repro.verify import NR
 
     try:
         model = get_model(args.model)
@@ -854,63 +491,17 @@ def _cmd_serve_sim(args) -> None:
             shared_prefix_fraction=args.shared_prefix,
             prefix_groups=args.prefix_groups,
         )
-        if args.chaos is None and (
-            args.deadline_ms is not None or args.audit_every != 10 or args.max_heals != 5
-        ):
-            print(
-                "serve-sim: --deadline-ms, --audit-every and --max-heals only "
-                "apply to --chaos runs"
-            )
-            sys.exit(2)
-        if args.tp < 1 or args.replicas < 1:
-            print(
-                f"serve-sim: --tp and --replicas must be >= 1 "
-                f"(got tp={args.tp}, replicas={args.replicas})"
-            )
-            sys.exit(2)
-        if args.replicas == 1 and args.router != "round_robin":
-            print(
-                f"serve-sim: --router {args.router} routes across replicas; "
-                "pass --replicas > 1 (or drop --router)"
-            )
-            sys.exit(2)
-        if args.tp > 1 or args.replicas > 1:
-            _cmd_serve_sim_cluster(args, model, arch, trace)
-            return
-        if args.chaos is not None:
-            _cmd_serve_sim_chaos(args, model, arch, trace)
-            return
-        if args.execute:
-            _cmd_serve_sim_execute(args, model, arch, trace)
-            return
-        if args.pages is not None:
-            print("serve-sim: --pages only applies to --execute runs")
-            sys.exit(2)
-        if (
-            args.preemption != "recompute"
-            or args.device_pages is not None
-            or args.host_pages is not None
-            or args.disk_pages
-        ):
-            print(
-                "serve-sim: --preemption swap and the tier sizes only apply "
-                "to --execute runs"
-            )
-            sys.exit(2)
-        page_size = 64 if args.page_size is None else args.page_size
-        residual_window = 64 if args.residual_window is None else args.residual_window
-        stacks = paper_serving_stacks(model, arch, residual_window=residual_window)
+        _check_flags(args, model, trace, NR)
+        if not (args.execute or args.chaos is not None):  # priced-only runs: 64-token pages
+            args.page_size = 64 if args.page_size is None else args.page_size
+            args.residual_window = 64 if args.residual_window is None else args.residual_window
+        cluster = args.tp > 1 or args.replicas > 1
+        if cluster or args.chaos is not None or args.execute:
+            serve = _run_cluster if cluster else _run_execute if args.chaos is None else _run_chaos
+            return serve(args, model, arch, _stack(args, model, arch), trace)
+        stacks = paper_serving_stacks(model, arch, residual_window=args.residual_window)
         reports = compare_formats(
-            model,
-            arch,
-            stacks,
-            trace,
-            page_size=page_size,
-            max_batch=args.max_batch,
-            n_gpus=args.n_gpus,
-            max_steps=args.steps,
-            prefill_chunk_tokens=args.prefill_chunk,
-            prefix_cache=args.prefix_cache,
+            model, arch, stacks, trace, page_size=args.page_size, **_knobs(args)
         )
     except (KeyError, ValueError, ServingOOMError) as err:
         message = err.args[0] if err.args else err
@@ -940,7 +531,7 @@ def _cmd_serve_sim(args) -> None:
     )
     print(
         f"prompt {args.prompt_len} tok, output {args.output_len} tok, "
-        f"page {page_size} tok, max batch {args.max_batch}"
+        f"page {args.page_size} tok, max batch {args.max_batch}"
         + (f", step cap {args.steps}" if args.steps else "")
         + (
             f", chunked prefill {args.prefill_chunk} tok/step"
@@ -1128,15 +719,15 @@ def main(argv=None) -> None:
     serve.add_argument(
         "--audit-every",
         type=int,
-        default=10,
-        help="invariant-audit cadence in scheduler steps for --chaos runs",
+        default=None,
+        help="invariant-audit cadence in scheduler steps for --chaos runs (default 10)",
     )
     serve.add_argument(
         "--max-heals",
         type=int,
-        default=5,
-        help="replay budget per request for --chaos runs; a sequence the "
-        "plan keeps damaging past this many heals ends FAILED",
+        default=None,
+        help="replay budget per request for --chaos runs (default 5); a sequence "
+        "the plan keeps damaging past this many heals ends FAILED",
     )
     serve.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)

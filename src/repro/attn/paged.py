@@ -44,6 +44,7 @@ from repro.attn.reference import chunked_causal_attention
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
 from repro.core.memo import DequantMemo
+from repro.core.residual_cache import require_finite
 from repro.core.residual_kernel import PackedBlockBatch, block_arrays, flush_blocks, map_blocks
 from repro.gpu.arch import ArchSpec
 from repro.pages.allocator import OutOfPagesError, PageAllocator
@@ -59,21 +60,6 @@ def _fp16_rows(k_rows, v_rows, shape: str, ndim: int, batch: Optional[int] = Non
     if k_rows.shape != v_rows.shape or k_rows.ndim != ndim or ragged:
         raise ValueError(f"K and V rows must share {shape} shape")
     return k_rows, v_rows
-
-
-def _require_finite(*rows: np.ndarray) -> None:
-    """Reject NaN/Inf FP16 rows before a write changes any state.
-
-    A non-finite row would poison its block's quantization scale, and a
-    write that failed half way would leave the handle past pages it never
-    wrote.  An FP16 value is NaN/Inf exactly when its exponent bits are
-    all set; input beyond the FP16 range arrives already cast to Inf.
-    """
-    if any(((r.view(np.uint16) & 0x7C00) == 0x7C00).any() for r in rows):
-        raise ValueError(
-            "K/V rows hold non-finite values (NaN/Inf, or beyond the FP16 range); "
-            "nothing was written"
-        )
 
 
 class PagedSeqHandle(KVCacheHandle):
@@ -469,7 +455,7 @@ class PagedBitKVCache(TierObserver):
         one batched call — bit-identical, per-block independence.
         """
         k_rows, v_rows = _fp16_rows(k_rows, v_rows, "an [hkv, n, d]", 3)
-        _require_finite(k_rows, v_rows)
+        require_finite(k_rows, v_rows)
         n = k_rows.shape[1]
         seq = self.table.sequences[handle.seq_id]
         if handle.seq_len + n > seq.length:
@@ -514,7 +500,7 @@ class PagedBitKVCache(TierObserver):
         per-sequence :meth:`write_rows` by per-block independence.
         """
         k_rows, v_rows = _fp16_rows(k_rows, v_rows, "a [batch, hkv, d]", 3, len(handles))
-        _require_finite(k_rows, v_rows)
+        require_finite(k_rows, v_rows)
         for handle in handles:
             seq = self.table.sequences[handle.seq_id]
             if handle.seq_len + 1 > seq.length:
@@ -556,7 +542,7 @@ class PagedBitKVCache(TierObserver):
         nb, rem = divmod(n, nr)
         # Complete blocks need no scan: the flush's quantizer rejects a
         # non-finite block before anything is stored.
-        _require_finite(k_rows[:, :, nb * nr :], v_rows[:, :, nb * nr :])
+        require_finite(k_rows[:, :, nb * nr :], v_rows[:, :, nb * nr :])
         for handle in handles:
             if handle.seq_len % nr:
                 raise ValueError("write_rows_group requires block-aligned fills")

@@ -31,7 +31,7 @@ from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.memo import DequantMemo
 from repro.core.packing_kernel import build_packing_launch, run_numeric
 from repro.core.query_transform import group_queries, ungroup_output
-from repro.core.residual_cache import BatchedResidual, partition_prefill
+from repro.core.residual_cache import BatchedResidual, partition_prefill, require_finite
 from repro.core.residual_kernel import (
     Fp4BlockBatch,
     PackedBlockBatch,
@@ -115,12 +115,14 @@ class BitKVCache:
         residual fills to ``N_r``, all ``batch x hkv`` blocks are quantized
         and packed in a single vectorized flush.  Returns True when that
         flush happened (the once-per-``N_r``-steps quantization event).
+        Non-finite rows are rejected before anything is written.
         """
-        k_new = np.asarray(k_new)
-        v_new = np.asarray(v_new)
+        k_new = np.asarray(k_new, np.float16)
+        v_new = np.asarray(v_new, np.float16)
         expected = (self.batch, self.hkv, self.head_dim)
         if k_new.shape != expected or v_new.shape != expected:
             raise ValueError(f"new K/V must have shape {expected}")
+        require_finite(k_new, v_new)
         block = self.residual.append(k_new, v_new)
         flushed = block is not None
         if flushed:

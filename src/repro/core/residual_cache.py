@@ -28,6 +28,23 @@ from repro.core.config import MMA_PN
 from repro.core.packing import packing_ratio
 
 
+def require_finite(*rows: np.ndarray) -> None:
+    """Reject NaN/Inf FP16 rows before a write changes any state.
+
+    A non-finite row would poison its block's quantization scale, and a
+    write that failed half way would leave a cache past tokens it never
+    wrote (or, on a flush, drop the residual it had already reset).  An
+    FP16 value is NaN/Inf exactly when its exponent bits are all set;
+    input beyond the FP16 range arrives already cast to Inf.  Both the
+    contiguous and the paged cache validate through this one check.
+    """
+    if any(((r.view(np.uint16) & 0x7C00) == 0x7C00).any() for r in rows):
+        raise ValueError(
+            "K/V rows hold non-finite values (NaN/Inf, or beyond the FP16 range); "
+            "nothing was written"
+        )
+
+
 def residual_block_size(wn: int, bits: int, word_bits: int = 16, pn: int = MMA_PN) -> int:
     """Eq. 1: residual block size ``N_r = P_n x W_n x R``."""
     if wn <= 0 or pn <= 0:

@@ -45,6 +45,12 @@ class CacheFormat:
     #: packed pages.
     residual_window_tokens: int = 0
 
+    def __post_init__(self) -> None:
+        if self.residual_window_tokens < 0:
+            raise ValueError(
+                f"residual_window_tokens must be non-negative (got {self.residual_window_tokens})"
+            )
+
 
 def fp16_format() -> CacheFormat:
     return CacheFormat(name="FP16", bits_per_value=16.0)

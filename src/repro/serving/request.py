@@ -233,9 +233,10 @@ def poisson_trace(
 
     Inter-arrival gaps are exponential with mean ``1 / rate_rps``; prompt
     and output lengths are drawn uniformly within ``+-jitter`` of their
-    base values (0 keeps them fixed).  The same seed always yields the
-    same trace, which is what makes the engine tests and the FP16 vs
-    INT4/INT2 comparisons apples-to-apples.
+    base values (0 keeps them fixed; a jitter must lie in ``[0, 1)`` so
+    every draw stays positive before rounding).  The same seed always
+    yields the same trace, which is what makes the engine tests and the
+    FP16 vs INT4/INT2 comparisons apples-to-apples.
 
     ``shared_prefix_fraction`` models shared system prompts: that fraction
     of the *base* prompt length is a prefix whose token content is shared
@@ -251,6 +252,13 @@ def poisson_trace(
         raise ValueError("n_requests must be positive")
     if rate_rps <= 0:
         raise ValueError("rate_rps must be positive")
+    if prompt_len <= 0 or output_len <= 0:
+        raise ValueError(
+            f"prompt_len and output_len must be positive (got {prompt_len}, {output_len})"
+        )
+    for name, jitter in (("prompt_jitter", prompt_jitter), ("output_jitter", output_jitter)):
+        if not 0.0 <= jitter < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1) (got {jitter:g})")
     if not 0.0 <= shared_prefix_fraction < 1.0:
         raise ValueError("shared_prefix_fraction must lie in [0, 1)")
     if prefix_groups <= 0:

@@ -9,55 +9,23 @@ KV while a miss attends exact FP32 KV, so only same-subset reruns are
 comparable, not a whole-trace merge.
 """
 
-import numpy as np
 import pytest
 
 from repro.attn import PagedBitBackend
 from repro.cluster import Router, ShardedPagedBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.memory import int_format
-from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
+from repro.serving import EngineConfig, poisson_trace
+from repro.verify import int4_paged_stack, matches_single_engine, matches_single_rank
 
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
-
-A100 = get_arch("a100")
-
-
-def _common(prefix_cache=False):
-    return dict(
-        model=TINY,
-        arch=A100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
-        n_pages=96,
-        max_batch=8,
-        max_steps=600,
-        prefix_cache=prefix_cache,
-        execute=True,
-        execute_seed=0,
-    )
-
-
-def _decoded(engine):
-    return {rid: [t.copy() for t in toks] for rid, toks in engine._runner.decoded.items()}
-
-
-def _assert_decoded_equal(a, b):
-    assert sorted(a) == sorted(b)
-    for rid in a:
-        assert len(a[rid]) == len(b[rid])
-        for x, y in zip(a[rid], b[rid]):
-            assert np.array_equal(x, y)
+STACK = int4_paged_stack(
+    TINY, get_arch("a100"), n_pages=96, max_batch=8, max_steps=600, execute_seed=0
+)
 
 
 class TestExecutedCluster:
     @pytest.mark.parametrize("prefix_cache", [False, True])
     def test_tp2_replicas2_bit_exact_vs_single_rank_reruns(self, prefix_cache):
-        kernel = BitDecoding(KERNEL_CONFIG, A100)
         trace = poisson_trace(
             8,
             200.0,
@@ -68,108 +36,44 @@ class TestExecutedCluster:
             prefix_groups=3,
         )
         router = Router(
-            EngineConfig(
-                backend=ShardedPagedBackend(kernel, tp=2),
-                n_gpus=2,
-                tp=2,
-                **_common(prefix_cache),
-            ),
+            STACK.config(n_gpus=2, tp=2, prefix_cache=prefix_cache),
             trace,
             replicas=2,
             policy="prefix_affinity",
         )
         report = router.run()
         assert report.completed == len(trace)
-        for engine in router.engines:
-            subset = [lc.request for lc in engine.lifecycles]
-            if not subset:
-                continue
-            single = ContinuousBatchingEngine(
-                EngineConfig(
-                    backend=PagedBitBackend(kernel),
-                    n_gpus=1,
-                    tp=1,
-                    **_common(prefix_cache),
-                ),
-                subset,
-            )
-            single.run()
-            _assert_decoded_equal(_decoded(engine), _decoded(single))
+        assert matches_single_rank(router, STACK.config(prefix_cache=prefix_cache))
 
     def test_without_prefix_cache_matches_whole_trace_single_engine(self):
         # With the prefix cache off there is no hit-pattern dependence,
         # so the merged cluster output must equal one engine serving the
         # whole trace at tp=1.
-        kernel = BitDecoding(KERNEL_CONFIG, A100)
         trace = poisson_trace(6, 100.0, prompt_len=64, output_len=10, seed=1)
-        router = Router(
-            EngineConfig(
-                backend=ShardedPagedBackend(kernel, tp=2), n_gpus=2, tp=2, **_common()
-            ),
-            trace,
-            replicas=2,
-            policy="round_robin",
-        )
+        router = Router(STACK.config(n_gpus=2, tp=2), trace, replicas=2, policy="round_robin")
         router.run()
-        merged = {}
-        for engine in router.engines:
-            merged.update(_decoded(engine))
-        single = ContinuousBatchingEngine(
-            EngineConfig(backend=PagedBitBackend(kernel), **_common()), trace
-        )
-        single.run()
-        _assert_decoded_equal(merged, _decoded(single))
+        assert matches_single_engine(router, STACK.config(), trace)
 
 
 class TestConfigValidation:
     def test_tp_must_be_positive(self):
         with pytest.raises(ValueError, match="tp must be >= 1"):
-            EngineConfig(
-                model=TINY,
-                arch=A100,
-                fmt=int_format(4, TINY),
-                attention=BitDecoding(KERNEL_CONFIG, A100),
-                tp=0,
-            )
+            STACK.config(execute=False, tp=0)
 
     def test_tp_must_divide_kv_heads(self):
         with pytest.raises(ValueError, match="does not divide"):
-            EngineConfig(
-                model=TINY,
-                arch=A100,
-                fmt=int_format(4, TINY),
-                attention=BitDecoding(KERNEL_CONFIG, A100),
-                tp=3,
-                n_gpus=3,
-            )
+            STACK.config(execute=False, tp=3, n_gpus=3)
 
     def test_tp_spans_the_engines_gpus(self):
         with pytest.raises(ValueError, match="n_gpus must equal"):
-            EngineConfig(
-                model=TINY,
-                arch=A100,
-                fmt=int_format(4, TINY),
-                attention=BitDecoding(KERNEL_CONFIG, A100),
-                tp=2,
-                n_gpus=1,
-            )
+            STACK.config(execute=False, tp=2, n_gpus=1)
 
     def test_execute_tp_needs_matching_sharded_backend(self):
-        kernel = BitDecoding(KERNEL_CONFIG, A100)
-        with pytest.raises(ValueError, match="ShardedPagedBackend"):
-            EngineConfig(backend=PagedBitBackend(kernel), n_gpus=2, tp=2, **_common())
-        with pytest.raises(ValueError, match="ShardedPagedBackend"):
-            EngineConfig(
-                backend=ShardedPagedBackend(kernel, tp=4), n_gpus=2, tp=2, **_common()
-            )
+        single, wrong_tp = PagedBitBackend(STACK.kernel), ShardedPagedBackend(STACK.kernel, tp=4)
+        for backend in (single, wrong_tp):
+            with pytest.raises(ValueError, match="ShardedPagedBackend"):
+                EngineConfig(backend=backend, execute=True, n_gpus=2, tp=2, **STACK.knobs)
 
     def test_execute_tp_rejects_swap_preemption(self):
-        kernel = BitDecoding(KERNEL_CONFIG, A100)
         with pytest.raises(ValueError, match="swap"):
-            EngineConfig(
-                backend=ShardedPagedBackend(kernel, tp=2),
-                n_gpus=2,
-                tp=2,
-                preemption="swap",
-                **_common(),
-            )
+            STACK.config(n_gpus=2, tp=2, preemption="swap")

@@ -20,6 +20,7 @@ from repro.gpu.arch import get_arch
 from repro.model.config import LLAMA31_8B
 from repro.model.memory import int_format
 from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
+from repro.verify import exactly_once
 
 KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)
 
@@ -72,13 +73,7 @@ class TestExactlyOnce:
             policy=policy,
         )
         report = router.run()
-        served = [
-            lc.request.req_id
-            for engine in router.engines
-            for lc in engine.lifecycles
-            if lc.finished
-        ]
-        assert sorted(served) == sorted(r.req_id for r in trace)
+        assert exactly_once(router, trace)
         assert report.completed == n_requests
         assert sum(router.dispatch_counts) == n_requests
         assert sorted(router.dispatch_log) == sorted(r.req_id for r in trace)

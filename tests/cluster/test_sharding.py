@@ -12,12 +12,9 @@ import pytest
 from repro.attn import PagedBitBackend
 from repro.cluster import ShardedPagedBackend, ShardedPagedStore
 from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.model.config import TINY, get_model
 from repro.model.inference import decode_step_breakdown
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
+from repro.verify import INT4_KERNEL, NR
 
 #: TINY's attention geometry: 4 query heads grouped over 2 KV heads.
 HQ, HKV, HEAD_DIM = TINY.hq, TINY.hkv, TINY.head_dim
@@ -31,8 +28,8 @@ def _qkv(rng, batch, n, hq=HQ, hkv=HKV, head_dim=HEAD_DIM):
 
 
 def _pair(a100, tp=2):
-    sharded = ShardedPagedBackend(BitDecoding(KERNEL_CONFIG, a100), tp=tp)
-    single = PagedBitBackend(BitDecoding(KERNEL_CONFIG, a100))
+    sharded = ShardedPagedBackend(BitDecoding(INT4_KERNEL, a100), tp=tp)
+    single = PagedBitBackend(BitDecoding(INT4_KERNEL, a100))
     return sharded, single
 
 
@@ -89,31 +86,31 @@ class TestBitExactness:
 class TestShardedStore:
     def test_tp_must_divide_hkv(self, a100):
         with pytest.raises(ValueError, match="does not divide"):
-            ShardedPagedStore(KERNEL_CONFIG, hkv=2, head_dim=16, tp=3)
+            ShardedPagedStore(INT4_KERNEL, hkv=2, head_dim=16, tp=3)
 
     def test_tp_must_be_positive(self, a100):
         with pytest.raises(ValueError, match="tp must be >= 1"):
-            ShardedPagedStore(KERNEL_CONFIG, hkv=2, head_dim=16, tp=0)
+            ShardedPagedStore(INT4_KERNEL, hkv=2, head_dim=16, tp=0)
         with pytest.raises(ValueError, match="tp must be >= 1"):
-            ShardedPagedBackend(BitDecoding(KERNEL_CONFIG, a100), tp=0)
+            ShardedPagedBackend(BitDecoding(INT4_KERNEL, a100), tp=0)
 
     def test_tiers_rejected(self):
         class FakeTiers:
             pass
 
         with pytest.raises(NotImplementedError, match="tiered offload"):
-            ShardedPagedStore(KERNEL_CONFIG, hkv=2, head_dim=16, tp=2, tiers=FakeTiers())
+            ShardedPagedStore(INT4_KERNEL, hkv=2, head_dim=16, tp=2, tiers=FakeTiers())
 
     def test_swap_reattach_rejected(self):
-        store = ShardedPagedStore(KERNEL_CONFIG, hkv=2, head_dim=16, tp=2)
+        store = ShardedPagedStore(INT4_KERNEL, hkv=2, head_dim=16, tp=2)
         with pytest.raises(NotImplementedError, match="swap-in"):
             store.reattach(0, 32)
 
     def test_sharded_bytes_sum_to_single_rank_bytes(self, a100):
         # Sharding partitions the head space; it must not duplicate or
         # drop any storage relative to one pool holding all the heads.
-        sharded = ShardedPagedStore(KERNEL_CONFIG, hkv=4, head_dim=16, tp=2, n_slots=8)
-        single = PagedBitBackend(BitDecoding(KERNEL_CONFIG, a100), n_slots=8).make_store(
+        sharded = ShardedPagedStore(INT4_KERNEL, hkv=4, head_dim=16, tp=2, n_slots=8)
+        single = PagedBitBackend(BitDecoding(INT4_KERNEL, a100), n_slots=8).make_store(
             4, 16, n_slots=8, table=sharded.table
         )
         assert sharded.packed_nbytes == single.packed_nbytes
@@ -130,7 +127,7 @@ class TestShardedStore:
 class TestTPPricing:
     def test_allreduce_tax_is_charged(self, a100):
         model = get_model("llama-3.1-8b")
-        kernel = BitDecoding(KERNEL_CONFIG, a100)
+        kernel = BitDecoding(INT4_KERNEL, a100)
         tp2 = decode_step_breakdown(model, a100, kernel, 8, 4096, n_gpus=2, tp=2)
         tp1 = decode_step_breakdown(model, a100, kernel, 8, 4096)
         assert tp2.comm_ms > 0.0

@@ -80,6 +80,31 @@ class TestPoisonedInputs:
         with pytest.raises(ValueError, match="non-finite"):
             engine.prefill(k, v)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e6])
+    @pytest.mark.parametrize("res_len", [5, 31])
+    def test_rejected_append_changes_nothing(self, rng, res_len, bad):
+        """A non-finite row is rejected before the residual is written:
+        mid-block (res_len 5) and on the flushing step (res_len 31 of
+        N_r = 32, where the flush would otherwise reset the residual
+        before the quantizer refused the block)."""
+        engine = BitDecoding(BitDecodingConfig(bits=4, wn=1), "a100")
+        seq = 64 + res_len
+        k = rng.standard_normal((1, 2, seq, 32)).astype(np.float16)
+        v = rng.standard_normal((1, 2, seq, 32)).astype(np.float16)
+        cache = engine.prefill(k, v)
+        before = (cache.seq_len, cache.res_len(), cache.packed_len())
+        assert before == (seq, res_len, 64)
+        k_new = rng.standard_normal((1, 2, 32)).astype(np.float32)
+        v_new = rng.standard_normal((1, 2, 32)).astype(np.float32)
+        k_new[0, 1, 3] = bad
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            cache.append_token(k_new, v_new)
+        assert (cache.seq_len, cache.res_len(), cache.packed_len()) == before
+        # The cache stays usable: a finite row appends normally.
+        k_new[0, 1, 3] = 0.0
+        cache.append_token(k_new, v_new)
+        assert cache.seq_len == seq + 1
+
 
 class TestConfigMismatch:
     def test_block_refuses_wrong_instruction_config(self, rng):

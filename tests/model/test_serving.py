@@ -92,6 +92,14 @@ class TestSharedMemoryAccounting:
             memory_required_bytes(LLAMA31_8B, plain, 8, 1024)
         )
 
+    def test_negative_residual_window_rejected(self):
+        # A negative window would price a negative FP16 residual and grow
+        # the page pool past the window-0 pool.
+        with pytest.raises(ValueError, match="residual_window_tokens"):
+            int_format(4, LLAMA31_8B, residual_window=-5)
+        with pytest.raises(ValueError, match="residual_window_tokens"):
+            CacheFormat(name="INT4", bits_per_value=4.0, residual_window_tokens=-1)
+
     def test_page_pool_orders_by_bits(self, a100):
         fp16 = page_pool_size(LLAMA31_8B, a100, fp16_format())
         int4 = page_pool_size(LLAMA31_8B, a100, int_format(4, LLAMA31_8B))

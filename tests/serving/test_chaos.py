@@ -15,137 +15,92 @@ The recovery contract this file pins down:
   into FAILED instead of looping forever.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attn import PagedBitBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.faults.plan import FaultSpec, demo_fault_spec
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.memory import int_format
-from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, EngineConfig, poisson_trace
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
+from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, poisson_trace
+from repro.verify import (
+    CHAOS_FIELDS,
+    decoded_bit_exact,
+    finished_ids,
+    int4_paged_stack,
+    schedule_match,
+)
 
 #: The committed chaos demo geometry (see ``serve-sim --chaos``): an
 #: over-capacity trace on a small device tier with a tight batch cap, so
 #: faults land on real swap traffic and deadlines on a real queue.
 DEVICE, HOST = 8, 28
+STACK = int4_paged_stack(
+    TINY,
+    get_arch("a100"),
+    max_batch=16,
+    max_steps=4000,
+    preemption="swap",
+    device_pages=DEVICE,
+    host_pages=HOST,
+)
 
 
 def _trace():
     return poisson_trace(8, 100000.0, prompt_len=40, output_len=60, seed=3)
 
 
-def _config(a100, execute=True, **overrides):
-    kwargs = dict(
-        model=TINY,
-        arch=a100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
-        max_batch=16,
-        max_steps=4000,
-        preemption="swap",
-        device_pages=DEVICE,
-        host_pages=HOST,
-    )
-    kwargs.update(overrides)
-    if execute:
-        kernel = BitDecoding(KERNEL_CONFIG, a100)
-        return EngineConfig(backend=PagedBitBackend(kernel), execute=True, **kwargs)
-    return EngineConfig(attention=BitDecoding(KERNEL_CONFIG, a100), **kwargs)
-
-
-def _decoded(engine):
-    return engine._runner.decoded
-
-
-def _assert_recovered_outputs(chaos_engine, free_engine):
-    """Chaos outputs must be a bit-exact prefix of the fault-free run's
-    (full-length for requests that finished)."""
-    chaos, free = _decoded(chaos_engine), _decoded(free_engine)
-    finished = {
-        lc.request.req_id for lc in chaos_engine.lifecycles if lc.finished
-    }
-    for req_id, steps in chaos.items():
-        reference = free[req_id]
-        assert len(steps) <= len(reference)
-        if req_id in finished:
-            assert len(steps) == len(reference)
-        for got, want in zip(steps, reference):
-            np.testing.assert_array_equal(got, want)
-
-
 class TestLockstepDeterminism:
-    def test_executed_and_analytical_chaos_agree(self, a100):
+    def test_executed_and_analytical_chaos_agree(self):
         spec = demo_fault_spec(7)
         executed = ContinuousBatchingEngine(
-            _config(a100, faults=spec, audit_every=10), _trace()
+            STACK.config(faults=spec, audit_every=10), _trace()
         ).run()
         analytical = ContinuousBatchingEngine(
-            _config(a100, execute=False, faults=spec, audit_every=10), _trace()
+            STACK.config(execute=False, faults=spec, audit_every=10), _trace()
         ).run()
-        for field in (
-            "total_generated_tokens",
-            "decode_steps",
-            "mixed_steps",
-            "swap_outs",
-            "swap_ins",
-            "transfer_retries",
-            "lost_pages",
-            "checksum_failures",
-            "healed_pages",
-            "healed_requests",
-            "slow_steps",
-            "completed",
-            "failed",
-            "audits",
-        ):
-            assert getattr(executed, field) == getattr(analytical, field), field
+        assert schedule_match(analytical, executed, CHAOS_FIELDS + ("audits",))
         assert executed.sim_time_s == pytest.approx(analytical.sim_time_s)
         assert executed.faults_enabled and analytical.faults_enabled
 
-    def test_same_spec_reproduces_exactly(self, a100):
+    def test_same_spec_reproduces_exactly(self):
         spec = demo_fault_spec(3)
-        a = ContinuousBatchingEngine(_config(a100, execute=False, faults=spec), _trace()).run()
-        b = ContinuousBatchingEngine(_config(a100, execute=False, faults=spec), _trace()).run()
+        a = ContinuousBatchingEngine(STACK.config(execute=False, faults=spec), _trace()).run()
+        b = ContinuousBatchingEngine(STACK.config(execute=False, faults=spec), _trace()).run()
         assert a.to_dict() == b.to_dict()
 
 
 class TestBitExactRecovery:
-    def test_demo_plan_recovers_bit_exactly(self, a100):
+    def test_demo_plan_recovers_bit_exactly(self):
         """The committed demo spec injects retries, loss and corruption;
         after healing, every decoded token matches the fault-free run."""
-        chaos = ContinuousBatchingEngine(_config(a100, faults=demo_fault_spec(7)), _trace())
+        chaos = ContinuousBatchingEngine(STACK.config(faults=demo_fault_spec(7)), _trace())
         report = chaos.run()
         assert report.transfer_retries > 0  # the plan actually fired
         assert report.healed_pages > 0
         assert report.failed == 0 and not chaos.tiers.has_bad_pages
         assert report.completed == 8
-        free = ContinuousBatchingEngine(_config(a100), _trace())
+        free = ContinuousBatchingEngine(STACK.config(), _trace())
         free_report = free.run()
         assert free_report.completed == 8
-        _assert_recovered_outputs(chaos, free)
+        # Chaos streams are bit-exact prefixes of the fault-free run's,
+        # full length for the requests that finished.
+        assert decoded_bit_exact(chaos, free, finished=finished_ids(chaos))
 
-    def test_faults_cost_time_not_work(self, a100):
+    def test_faults_cost_time_not_work(self):
         chaos = ContinuousBatchingEngine(
-            _config(a100, execute=False, faults=demo_fault_spec(7)), _trace()
+            STACK.config(execute=False, faults=demo_fault_spec(7)), _trace()
         ).run()
-        free = ContinuousBatchingEngine(_config(a100, execute=False), _trace()).run()
+        free = ContinuousBatchingEngine(STACK.config(execute=False), _trace()).run()
         assert chaos.total_generated_tokens == free.total_generated_tokens
         assert chaos.sim_time_s > free.sim_time_s
 
-    def test_heal_budget_exhaustion_fails_the_request(self, a100):
+    def test_heal_budget_exhaustion_fails_the_request(self):
         """A plan that destroys every transferred page keeps killing the
         same sequences; the heal budget must convert that into FAILED."""
         spec = FaultSpec(seed=0, transfer_fault_rate=1.0, permanent_fraction=1.0)
         report = ContinuousBatchingEngine(
-            _config(a100, execute=False, faults=spec, max_heals=2), _trace()
+            STACK.config(execute=False, faults=spec, max_heals=2), _trace()
         ).run()
         assert report.failed > 0
         assert report.healed_requests > 0
@@ -153,10 +108,10 @@ class TestBitExactRecovery:
 
 
 class TestDeadlines:
-    def test_pressure_ends_in_shed_and_timeout_accounting(self, a100):
+    def test_pressure_ends_in_shed_and_timeout_accounting(self):
         policy = DeadlinePolicy(default_deadline_s=6e-3)
         engine = ContinuousBatchingEngine(
-            _config(a100, faults=demo_fault_spec(7), deadline_policy=policy, max_batch=3),
+            STACK.config(faults=demo_fault_spec(7), deadline_policy=policy, max_batch=3),
             _trace(),
         )
         report = engine.run()
@@ -170,12 +125,12 @@ class TestDeadlines:
             sum(1 for lc in engine.lifecycles if lc.finished and not lc.met_deadline)
         )
 
-    def test_generous_deadline_changes_nothing(self, a100):
+    def test_generous_deadline_changes_nothing(self):
         policy = DeadlinePolicy(default_deadline_s=1e6)
         with_deadline = ContinuousBatchingEngine(
-            _config(a100, execute=False, deadline_policy=policy), _trace()
+            STACK.config(execute=False, deadline_policy=policy), _trace()
         ).run()
-        without = ContinuousBatchingEngine(_config(a100, execute=False), _trace()).run()
+        without = ContinuousBatchingEngine(STACK.config(execute=False), _trace()).run()
         assert with_deadline.shed == 0 and with_deadline.timed_out == 0
         assert with_deadline.completed == 8 and with_deadline.deadline_met == 8
         assert with_deadline.total_generated_tokens == without.total_generated_tokens
@@ -183,7 +138,7 @@ class TestDeadlines:
             with_deadline.sustained_tokens_per_s
         )
 
-    def test_per_request_deadline_beats_the_default(self, a100):
+    def test_per_request_deadline_beats_the_default(self):
         trace = _trace()
         tight = [
             type(r)(**{**r.__dict__, "deadline_s": 1e-6}) if r.req_id == 7 else r
@@ -191,39 +146,38 @@ class TestDeadlines:
         ]
         policy = DeadlinePolicy(default_deadline_s=1e6)
         report = ContinuousBatchingEngine(
-            _config(a100, execute=False, deadline_policy=policy), tight
+            STACK.config(execute=False, deadline_policy=policy), tight
         ).run()
         assert report.shed + report.timed_out == 1
         assert report.completed == 7
 
-    def test_shedding_can_be_disabled(self, a100):
+    def test_shedding_can_be_disabled(self):
         policy = DeadlinePolicy(default_deadline_s=6e-3, shed_on_admission=False)
         report = ContinuousBatchingEngine(
-            _config(a100, execute=False, deadline_policy=policy, max_batch=3), _trace()
+            STACK.config(execute=False, deadline_policy=policy, max_batch=3), _trace()
         ).run()
         assert report.shed == 0
         assert report.timed_out > 0  # pressure now lands entirely on timeouts
 
 
 class TestAuditor:
-    def test_auditor_runs_in_both_modes(self, a100):
+    def test_auditor_runs_in_both_modes(self):
         for execute in (True, False):
             report = ContinuousBatchingEngine(
-                _config(a100, execute=execute, faults=demo_fault_spec(7), audit_every=5),
+                STACK.config(execute=execute, faults=demo_fault_spec(7), audit_every=5),
                 _trace(),
             ).run()
             assert report.audits > 1  # periodic plus the final drain audit
 
-    def test_audit_disabled_by_default(self, a100):
-        report = ContinuousBatchingEngine(_config(a100, execute=False), _trace()).run()
+    def test_audit_disabled_by_default(self):
+        report = ContinuousBatchingEngine(STACK.config(execute=False), _trace()).run()
         assert report.audits == 0
 
 
 class TestConfigValidation:
-    def test_faults_require_swap_preemption(self, a100):
+    def test_faults_require_swap_preemption(self):
         with pytest.raises(ValueError, match="swap"):
-            _config(
-                a100,
+            STACK.config(
                 execute=False,
                 preemption="recompute",
                 device_pages=None,
@@ -232,13 +186,13 @@ class TestConfigValidation:
                 faults=demo_fault_spec(0),
             )
 
-    def test_audit_every_must_be_positive(self, a100):
+    def test_audit_every_must_be_positive(self):
         with pytest.raises(ValueError, match="audit_every"):
-            _config(a100, execute=False, audit_every=0)
+            STACK.config(execute=False, audit_every=0)
 
-    def test_max_heals_floor(self, a100):
+    def test_max_heals_floor(self):
         with pytest.raises(ValueError, match="max_heals"):
-            _config(a100, execute=False, max_heals=0)
+            STACK.config(execute=False, max_heals=0)
 
 
 class TestAllTransientProperty:
@@ -256,7 +210,6 @@ class TestAllTransientProperty:
     def test_all_transient_faults_complete_bit_identically(
         self, seed, fault_rate, spike_rate, slow_rate
     ):
-        a100 = get_arch("a100")  # hypothesis forbids function-scoped fixtures
         spec = FaultSpec(
             seed=seed,
             transfer_fault_rate=fault_rate,
@@ -265,15 +218,10 @@ class TestAllTransientProperty:
         )
         assert spec.all_transient
         trace = poisson_trace(4, 100000.0, prompt_len=40, output_len=24, seed=5)
-        chaos = ContinuousBatchingEngine(_config(a100, faults=spec), trace)
+        chaos = ContinuousBatchingEngine(STACK.config(faults=spec), trace)
         report = chaos.run()
         assert report.completed == 4
         assert report.failed == 0 and report.healed_pages == 0
-        free = ContinuousBatchingEngine(_config(a100), trace)
+        free = ContinuousBatchingEngine(STACK.config(), trace)
         free.run()
-        chaos_out, free_out = _decoded(chaos), _decoded(free)
-        assert chaos_out.keys() == free_out.keys()
-        for req_id, steps in chaos_out.items():
-            assert len(steps) == len(free_out[req_id])
-            for got, want in zip(steps, free_out[req_id]):
-                np.testing.assert_array_equal(got, want)
+        assert decoded_bit_exact(chaos, free)

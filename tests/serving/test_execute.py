@@ -9,44 +9,26 @@ preemptions), and every generated token must actually have been run.
 
 import pytest
 
-from repro.attn import AnalyticalBackend, PagedBitBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
+from repro.attn import AnalyticalBackend
+from repro.gpu.arch import get_arch
 from repro.model.config import TINY
 from repro.model.memory import int_format
 from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
+from repro.verify import INT4_KERNEL, NR, int4_paged_stack
 
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
-
-
-def _common(a100, n_pages, max_steps=400, prefill_chunk=None, max_batch=8):
-    return dict(
-        model=TINY,
-        arch=a100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
-        n_pages=n_pages,
-        max_batch=max_batch,
-        max_steps=max_steps,
-        prefill_chunk_tokens=prefill_chunk,
-    )
+STACK = int4_paged_stack(TINY, get_arch("a100"), max_batch=8, max_steps=400)
 
 
-def _run_pair(a100, trace, **kwargs):
-    kernel = BitDecoding(KERNEL_CONFIG, a100)
-    common = _common(a100, **kwargs)
-    analytical = ContinuousBatchingEngine(EngineConfig(attention=kernel, **common), trace).run()
-    executed = ContinuousBatchingEngine(
-        EngineConfig(backend=PagedBitBackend(kernel), execute=True, **common), trace
-    ).run()
+def _run_pair(trace, **overrides):
+    analytical = STACK.engine(trace, execute=False, **overrides).run()
+    executed = STACK.engine(trace, **overrides).run()
     return analytical, executed
 
 
 class TestExecuteMode:
-    def test_schedule_matches_analytical(self, a100):
+    def test_schedule_matches_analytical(self):
         trace = poisson_trace(6, 50.0, prompt_len=48, output_len=8, seed=3)
-        analytical, executed = _run_pair(a100, trace, n_pages=96)
+        analytical, executed = _run_pair(trace, n_pages=96)
         assert executed.total_generated_tokens == analytical.total_generated_tokens
         assert executed.decode_steps == analytical.decode_steps
         assert executed.prefill_steps == analytical.prefill_steps
@@ -55,46 +37,41 @@ class TestExecuteMode:
         assert analytical.executed_tokens is None
         assert executed.executed_tokens == executed.total_generated_tokens
 
-    def test_executes_through_preemption_and_recompute(self, a100):
+    def test_executes_through_preemption_and_recompute(self):
         # A pool tight enough that decode growth forces a preemption; the
         # victim recomputes its full context through the runner's recorded
         # input program on re-admission.
         trace = poisson_trace(6, 100.0, prompt_len=40, output_len=30, seed=0)
-        analytical, executed = _run_pair(a100, trace, n_pages=7)
+        analytical, executed = _run_pair(trace, n_pages=7)
         assert executed.preemptions > 0
         assert executed.preemptions == analytical.preemptions
         assert executed.total_generated_tokens == analytical.total_generated_tokens
         assert executed.executed_tokens == executed.total_generated_tokens
 
-    def test_executes_under_chunked_prefill(self, a100):
+    def test_executes_under_chunked_prefill(self):
         trace = poisson_trace(5, 100.0, prompt_len=70, output_len=10, seed=1)
-        analytical, executed = _run_pair(a100, trace, n_pages=12, prefill_chunk=NR)
+        analytical, executed = _run_pair(trace, n_pages=12, prefill_chunk_tokens=NR)
         assert executed.mixed_steps == analytical.mixed_steps
         assert executed.total_generated_tokens == analytical.total_generated_tokens
         assert executed.executed_tokens == executed.total_generated_tokens
 
-    def test_execute_requires_numeric_backend(self, a100):
-        kernel = BitDecoding(KERNEL_CONFIG, a100)
+    def test_execute_requires_numeric_backend(self):
+        backend = AnalyticalBackend(STACK.kernel)
         with pytest.raises(ValueError, match="token-executing"):
-            EngineConfig(backend=AnalyticalBackend(kernel), execute=True, **_common(a100, 16))
+            EngineConfig(backend=backend, execute=True, n_pages=16, **STACK.knobs)
         with pytest.raises(ValueError, match="token-executing"):
-            EngineConfig(attention=kernel, execute=True, **_common(a100, 16))
+            EngineConfig(attention=STACK.kernel, execute=True, n_pages=16, **STACK.knobs)
 
-    def test_execute_requires_page_size_nr(self, a100):
-        kernel = BitDecoding(KERNEL_CONFIG, a100)
-        common = _common(a100, 16)
-        common["page_size"] = NR * 2
+    def test_execute_requires_page_size_nr(self):
         with pytest.raises(ValueError, match="N_r"):
             ContinuousBatchingEngine(
-                EngineConfig(backend=PagedBitBackend(kernel), execute=True, **common),
+                STACK.config(n_pages=16, page_size=NR * 2),
                 poisson_trace(2, 10.0, prompt_len=16, output_len=2),
             )
 
-    def test_execute_requires_explicit_pool_size(self, a100):
-        kernel = BitDecoding(KERNEL_CONFIG, a100)
-        common = _common(a100, None)
+    def test_execute_requires_explicit_pool_size(self):
         with pytest.raises(ValueError, match="n_pages"):
-            EngineConfig(backend=PagedBitBackend(kernel), execute=True, **common)
+            STACK.config()
 
     def test_config_requires_some_attention(self, a100):
         with pytest.raises(ValueError, match="attention"):
@@ -105,7 +82,8 @@ class TestExecuteMode:
 
         with pytest.raises(ValueError, match="paged-bit"):
             EngineConfig(
-                backend=ContiguousBitBackend(KERNEL_CONFIG, a100),
+                backend=ContiguousBitBackend(INT4_KERNEL, a100),
                 execute=True,
-                **_common(a100, 16),
+                n_pages=16,
+                **STACK.knobs,
             )

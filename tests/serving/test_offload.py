@@ -8,67 +8,37 @@ quantized cache — but swap runs are the cleaner reference because their
 schedule never re-prefills at all.)
 """
 
-import numpy as np
 import pytest
 
-from repro.attn import PagedBitBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
+from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.memory import MemoryTierModel, int_format
-from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
+from repro.model.memory import MemoryTierModel
+from repro.serving import ContinuousBatchingEngine, poisson_trace
+from repro.verify import NR, decoded_bit_exact, int4_paged_stack, schedule_match
 
 #: Near-simultaneous arrivals whose aggregate context (8 requests x 4
 #: pages) far exceeds the 8-page device tier — admission must succeed
 #: through the host tier and decode must proceed by swapping.
 DEVICE, HOST = 8, 28
+STACK = int4_paged_stack(TINY, get_arch("a100"), max_batch=16, max_steps=2000)
+SWAP_STACK = int4_paged_stack(
+    TINY,
+    get_arch("a100"),
+    max_batch=16,
+    max_steps=2000,
+    preemption="swap",
+    device_pages=DEVICE,
+    host_pages=HOST,
+)
 
 
 def _trace():
     return poisson_trace(8, 100000.0, prompt_len=40, output_len=60, seed=3)
 
 
-def _config(a100, execute=True, **overrides):
-    kwargs = dict(
-        model=TINY,
-        arch=a100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
-        max_batch=16,
-        max_steps=2000,
-    )
-    kwargs.update(overrides)
-    if execute:
-        kernel = BitDecoding(KERNEL_CONFIG, a100)
-        return EngineConfig(backend=PagedBitBackend(kernel), execute=True, **kwargs)
-    return EngineConfig(attention=BitDecoding(KERNEL_CONFIG, a100), **kwargs)
-
-
-def _swap_config(a100, execute=True, **overrides):
-    kwargs = dict(preemption="swap", device_pages=DEVICE, host_pages=HOST)
-    kwargs.update(overrides)
-    return _config(a100, execute=execute, **kwargs)
-
-
-def _decoded(engine):
-    return engine._runner.decoded
-
-
-def _assert_decoded_equal(a, b):
-    assert a.keys() == b.keys()
-    for req_id, steps_a in a.items():
-        steps_b = b[req_id]
-        assert len(steps_a) == len(steps_b)
-        for x, y in zip(steps_a, steps_b):
-            np.testing.assert_array_equal(x, y)
-
-
 class TestSwapExecution:
-    def test_over_capacity_trace_completes_by_swapping(self, a100):
-        engine = ContinuousBatchingEngine(_swap_config(a100), _trace())
+    def test_over_capacity_trace_completes_by_swapping(self):
+        engine = ContinuousBatchingEngine(SWAP_STACK.config(), _trace())
         report = engine.run()
         assert report.completed == 8 and report.rejected == 0
         assert report.preemptions == 0  # pressure was paid in swaps
@@ -80,76 +50,74 @@ class TestSwapExecution:
         assert report.device_pages == DEVICE and report.host_pages == HOST
         assert report.n_pages == DEVICE + HOST
 
-    def test_swapped_decode_bit_identical_to_never_swapped(self, a100):
-        swap = ContinuousBatchingEngine(_swap_config(a100), _trace())
+    def test_swapped_decode_bit_identical_to_never_swapped(self):
+        swap = ContinuousBatchingEngine(SWAP_STACK.config(), _trace())
         swap_report = swap.run()
         assert swap_report.swap_outs > 0
-        baseline = ContinuousBatchingEngine(_config(a100, n_pages=DEVICE + HOST), _trace())
+        baseline = ContinuousBatchingEngine(STACK.config(n_pages=DEVICE + HOST), _trace())
         baseline_report = baseline.run()
         assert baseline_report.preemptions == 0  # truly unpressured
-        _assert_decoded_equal(_decoded(swap), _decoded(baseline))
+        assert decoded_bit_exact(swap, baseline)
 
-    def test_swap_beats_recompute_at_equal_device_budget(self, a100):
-        swap = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
-        recompute = ContinuousBatchingEngine(_config(a100, n_pages=DEVICE), _trace()).run()
+    def test_swap_beats_recompute_at_equal_device_budget(self):
+        swap = ContinuousBatchingEngine(SWAP_STACK.config(), _trace()).run()
+        recompute = ContinuousBatchingEngine(STACK.config(n_pages=DEVICE), _trace()).run()
         assert recompute.preemptions > 0
         assert swap.total_generated_tokens == recompute.total_generated_tokens
         assert swap.sustained_tokens_per_s > recompute.sustained_tokens_per_s
 
-    def test_executed_schedule_matches_analytical(self, a100):
-        executed = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
-        analytical = ContinuousBatchingEngine(_swap_config(a100, execute=False), _trace()).run()
+    def test_executed_schedule_matches_analytical(self):
+        executed = ContinuousBatchingEngine(SWAP_STACK.config(), _trace()).run()
+        analytical = ContinuousBatchingEngine(SWAP_STACK.config(execute=False), _trace()).run()
         assert analytical.executed_tokens is None
-        assert executed.total_generated_tokens == analytical.total_generated_tokens
-        assert executed.decode_steps == analytical.decode_steps
-        assert executed.swap_outs == analytical.swap_outs
-        assert executed.swap_ins == analytical.swap_ins
+        fields = ("total_generated_tokens", "decode_steps", "swap_outs", "swap_ins")
+        assert schedule_match(analytical, executed, fields)
         assert executed.sim_time_s == pytest.approx(analytical.sim_time_s)
 
-    def test_faults_and_stall_are_priced(self, a100):
-        report = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
-        pcie_only = ContinuousBatchingEngine(_config(a100, n_pages=DEVICE + HOST), _trace()).run()
+    def test_faults_and_stall_are_priced(self):
+        report = ContinuousBatchingEngine(SWAP_STACK.config(), _trace()).run()
+        pcie_only = ContinuousBatchingEngine(STACK.config(n_pages=DEVICE + HOST), _trace()).run()
         # Tier traffic costs real simulated time on top of the compute.
         assert report.sim_time_s > pcie_only.sim_time_s
         assert report.offload_stall_s >= 0.0
         assert report.offload_overlapped_s > 0.0
 
-    def test_slower_tier_model_costs_more_time(self, a100):
-        fast = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
+    def test_slower_tier_model_costs_more_time(self):
+        fast = ContinuousBatchingEngine(SWAP_STACK.config(), _trace()).run()
         slow = ContinuousBatchingEngine(
-            _swap_config(a100, tier_model=MemoryTierModel(pcie_gbs=0.001)), _trace()
+            SWAP_STACK.config(tier_model=MemoryTierModel(pcie_gbs=0.001)), _trace()
         ).run()
         assert slow.sim_time_s > fast.sim_time_s
 
-    def test_request_larger_than_device_tier_rejected(self, a100):
+    def test_request_larger_than_device_tier_rejected(self):
         trace = poisson_trace(1, 10.0, prompt_len=DEVICE * NR + 40, output_len=4, seed=0)
-        report = ContinuousBatchingEngine(_swap_config(a100, host_pages=64), trace).run()
+        report = ContinuousBatchingEngine(SWAP_STACK.config(host_pages=64), trace).run()
         assert report.rejected == 1 and report.completed == 0
 
 
 class TestSwapConfigValidation:
-    def test_swap_needs_tier_sizes(self, a100):
+    def test_swap_needs_tier_sizes(self):
         with pytest.raises(ValueError, match="device_pages"):
-            _config(a100, preemption="swap", host_pages=8)
+            STACK.config(preemption="swap", host_pages=8)
         with pytest.raises(ValueError, match="host_pages"):
-            _config(a100, preemption="swap", device_pages=8)
+            STACK.config(preemption="swap", device_pages=8)
 
-    def test_swap_derives_the_pool(self, a100):
+    def test_swap_derives_the_pool(self):
         with pytest.raises(ValueError, match="derived"):
-            _swap_config(a100, n_pages=64)
+            SWAP_STACK.config(n_pages=64)
 
-    def test_recompute_forbids_tier_geometry(self, a100):
+    def test_recompute_forbids_tier_geometry(self):
         with pytest.raises(ValueError, match='preemption="swap"'):
-            _config(a100, n_pages=16, device_pages=8)
+            STACK.config(n_pages=16, device_pages=8)
         with pytest.raises(ValueError, match='preemption="swap"'):
-            _config(a100, n_pages=16, tier_model=MemoryTierModel())
+            STACK.config(n_pages=16, tier_model=MemoryTierModel())
 
-    def test_unknown_preemption_rejected(self, a100):
+    def test_unknown_preemption_rejected(self):
         with pytest.raises(ValueError, match="preemption"):
-            _config(a100, n_pages=16, preemption="migrate")
+            STACK.config(n_pages=16, preemption="migrate")
 
-    def test_recompute_report_shows_whole_pool_as_device(self, a100):
-        report = ContinuousBatchingEngine(_config(a100, n_pages=DEVICE + HOST), _trace()).run()
+    def test_recompute_report_shows_whole_pool_as_device(self):
+        report = ContinuousBatchingEngine(STACK.config(n_pages=DEVICE + HOST), _trace()).run()
         assert report.preemption == "recompute"
         assert report.device_pages == report.n_pages
         assert report.swap_outs == 0 and report.offload_h2d_bytes == 0

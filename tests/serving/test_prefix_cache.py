@@ -14,18 +14,14 @@ a common prompt prefix.  Three contracts under test:
    (hit rate > 0, strictly higher tokens/s, more effective capacity).
 """
 
-import numpy as np
 import pytest
 
-from repro.attn import PagedBitBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
+from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.memory import int_format
-from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
+from repro.serving import EngineConfig, poisson_trace
+from repro.verify import EXECUTE_FIELDS, NR, decoded_bit_exact, int4_paged_stack, schedule_match
 
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
+STACK = int4_paged_stack(TINY, get_arch("a100"), n_pages=96, max_batch=8, max_steps=2000)
 
 
 def _trace(n=8, rate=5000.0, prompt=96, output=24, shared=0.5, groups=1, seed=7):
@@ -37,35 +33,10 @@ def _trace(n=8, rate=5000.0, prompt=96, output=24, shared=0.5, groups=1, seed=7)
     )
 
 
-def _config(a100, n_pages=96, max_batch=8, prefill_chunk=None, **over):
-    kwargs = dict(
-        model=TINY,
-        arch=a100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
-        n_pages=n_pages,
-        max_batch=max_batch,
-        max_steps=2000,
-        prefill_chunk_tokens=prefill_chunk,
-    )
-    kwargs.update(over)
-    return kwargs
-
-
-def _engine(a100, trace, execute=False, **over):
-    kernel = BitDecoding(KERNEL_CONFIG, a100)
-    common = _config(a100, **over)
-    if execute:
-        cfg = EngineConfig(backend=PagedBitBackend(kernel), execute=True, **common)
-    else:
-        cfg = EngineConfig(attention=kernel, **common)
-    return ContinuousBatchingEngine(cfg, trace)
-
-
 class TestAnalytical:
-    def test_hits_on_shared_prefix_trace(self, a100):
+    def test_hits_on_shared_prefix_trace(self):
         trace = _trace()
-        report = _engine(a100, trace, prefix_cache=True).run()
+        report = STACK.engine(trace, execute=False, prefix_cache=True).run()
         assert report.prefix_cache_enabled
         assert report.prefix_hit_tokens > 0
         assert report.prefix_probe_tokens > 0
@@ -73,37 +44,39 @@ class TestAnalytical:
         assert report.shared_pages_peak > 0
         assert report.effective_capacity_pages > 96
 
-    def test_no_hits_without_shared_prefix(self, a100):
+    def test_no_hits_without_shared_prefix(self):
         trace = _trace(shared=0.0)
-        report = _engine(a100, trace, prefix_cache=True).run()
+        report = STACK.engine(trace, execute=False, prefix_cache=True).run()
         assert report.prefix_hit_tokens == 0
         assert report.prefix_hit_rate == 0.0
 
-    def test_disabled_reports_zeroes(self, a100):
-        report = _engine(a100, _trace()).run()
+    def test_disabled_reports_zeroes(self):
+        report = STACK.engine(_trace(), execute=False).run()
         assert not report.prefix_cache_enabled
         assert report.prefix_hit_tokens == 0
         assert report.effective_capacity_pages == 96
 
-    def test_caching_strictly_helps(self, a100):
+    def test_caching_strictly_helps(self):
         trace = _trace()
-        on = _engine(a100, trace, prefix_cache=True).run()
-        off = _engine(a100, trace).run()
+        on = STACK.engine(trace, execute=False, prefix_cache=True).run()
+        off = STACK.engine(trace, execute=False).run()
         assert on.total_generated_tokens == off.total_generated_tokens
         assert on.sustained_tokens_per_s > off.sustained_tokens_per_s
         assert on.effective_capacity_pages > off.effective_capacity_pages
 
-    def test_prefix_groups_partition_hits(self, a100):
+    def test_prefix_groups_partition_hits(self):
         # Two disjoint prefix groups: requests only hit within their group.
         trace = _trace(groups=2)
-        report = _engine(a100, trace, prefix_cache=True).run()
+        report = STACK.engine(trace, execute=False, prefix_cache=True).run()
         assert report.prefix_hit_tokens > 0
 
-    def test_eviction_under_tiny_pool(self, a100):
+    def test_eviction_under_tiny_pool(self):
         # Pool too small to keep every group's prefix cached: the LRU
         # pool must recycle registered pages without ever wedging.
         trace = _trace(n=10, prompt=64, output=8, groups=5)
-        report = _engine(a100, trace, n_pages=10, max_batch=2, prefix_cache=True).run()
+        report = STACK.engine(
+            trace, execute=False, n_pages=10, max_batch=2, prefix_cache=True
+        ).run()
         assert report.completed == 10
         assert report.prefix_evictions > 0
 
@@ -115,64 +88,48 @@ class TestAnalytical:
 
 
 class TestExecuted:
-    def test_schedule_matches_analytical(self, a100):
+    def test_schedule_matches_analytical(self):
         trace = _trace()
-        analytical = _engine(a100, trace, prefix_cache=True).run()
-        executed = _engine(a100, trace, execute=True, prefix_cache=True).run()
-        assert executed.prefix_hit_tokens == analytical.prefix_hit_tokens
-        assert executed.total_generated_tokens == analytical.total_generated_tokens
-        assert executed.decode_steps == analytical.decode_steps
-        assert executed.prefill_steps == analytical.prefill_steps
-        assert executed.preemptions == analytical.preemptions
+        analytical = STACK.engine(trace, execute=False, prefix_cache=True).run()
+        executed = STACK.engine(trace, prefix_cache=True).run()
+        # schedule_match also pins executed_tokens == total_generated_tokens
+        # on its second (executed) report.
+        assert schedule_match(analytical, executed, ("prefix_hit_tokens", *EXECUTE_FIELDS))
         assert executed.sim_time_s == pytest.approx(analytical.sim_time_s)
-        assert executed.executed_tokens == executed.total_generated_tokens
 
-    def test_share_vs_copy_is_bit_exact(self, a100):
+    def test_share_vs_copy_is_bit_exact(self):
         """The load-bearing numerics check: mapping hit pages shared must
         decode the exact same hidden states as copying them privately."""
         trace = _trace()
-        shared_eng = _engine(a100, trace, execute=True, prefix_cache=True)
+        shared_eng = STACK.engine(trace, prefix_cache=True)
         shared = shared_eng.run()
-        copied_eng = _engine(
-            a100, trace, execute=True, prefix_cache=True, prefix_share=False
-        )
+        copied_eng = STACK.engine(trace, prefix_cache=True, prefix_share=False)
         copied = copied_eng.run()
         assert shared.sim_time_s == pytest.approx(copied.sim_time_s)
         assert shared.prefix_hit_tokens == copied.prefix_hit_tokens
         # Sharing actually happened in the shared run and not in the copy run.
         assert shared.shared_pages_peak > 0
         assert copied.shared_pages_peak == 0
-        decoded_shared = shared_eng._runner.decoded
-        decoded_copied = copied_eng._runner.decoded
-        assert decoded_shared.keys() == decoded_copied.keys()
-        for req_id in decoded_shared:
-            for h_s, h_c in zip(decoded_shared[req_id], decoded_copied[req_id]):
-                np.testing.assert_array_equal(h_s, h_c)
+        assert decoded_bit_exact(shared_eng, copied_eng)
 
-    def test_executes_under_chunked_prefill(self, a100):
+    def test_executes_under_chunked_prefill(self):
         trace = _trace(prompt=70, output=10)
-        analytical = _engine(
-            a100, trace, prefix_cache=True, prefill_chunk=NR, n_pages=64
-        ).run()
-        executed = _engine(
-            a100, trace, execute=True, prefix_cache=True, prefill_chunk=NR, n_pages=64
-        ).run()
+        chunked = dict(prefix_cache=True, prefill_chunk_tokens=NR, n_pages=64)
+        analytical = STACK.engine(trace, execute=False, **chunked).run()
+        executed = STACK.engine(trace, **chunked).run()
         assert analytical.prefix_hit_tokens > 0
         assert executed.prefix_hit_tokens == analytical.prefix_hit_tokens
         assert executed.total_generated_tokens == analytical.total_generated_tokens
         assert executed.sim_time_s == pytest.approx(analytical.sim_time_s)
 
-    def test_executes_through_preemption(self, a100):
+    def test_executes_through_preemption(self):
         # Tight pool: decode growth forces preemptions; a preempted victim
         # re-probes the cache on re-admission and must still execute every
         # generated token.
         trace = _trace(n=6, prompt=64, output=30, rate=5000.0)
-        analytical = _engine(
-            a100, trace, prefix_cache=True, n_pages=8, max_batch=4
-        ).run()
-        executed = _engine(
-            a100, trace, execute=True, prefix_cache=True, n_pages=8, max_batch=4
-        ).run()
+        tight = dict(prefix_cache=True, n_pages=8, max_batch=4)
+        analytical = STACK.engine(trace, execute=False, **tight).run()
+        executed = STACK.engine(trace, **tight).run()
         assert analytical.preemptions > 0
         assert executed.preemptions == analytical.preemptions
         assert executed.total_generated_tokens == analytical.total_generated_tokens

@@ -57,3 +57,21 @@ class TestPoissonTrace:
             poisson_trace(0, 4.0, 10, 10)
         with pytest.raises(ValueError):
             poisson_trace(4, 0.0, 10, 10)
+
+    @pytest.mark.parametrize("prompt_len, output_len", [(0, 10), (-3, 10), (10, 0)])
+    def test_nonpositive_lengths_rejected(self, prompt_len, output_len):
+        # A 0-token prompt used to be clamped to a 1-token one silently.
+        with pytest.raises(ValueError, match="must be positive"):
+            poisson_trace(4, 4.0, prompt_len, output_len)
+
+    @pytest.mark.parametrize("jitter", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("which", ["prompt_jitter", "output_jitter"])
+    def test_jitter_outside_unit_interval_rejected(self, which, jitter):
+        # Negative jitter used to read as 0; jitter >= 1 drew non-positive
+        # lengths that were clamped to 1.
+        with pytest.raises(ValueError, match=which):
+            poisson_trace(4, 4.0, 10, 10, **{which: jitter})
+
+    def test_jitter_just_below_one_accepted(self):
+        trace = poisson_trace(50, 4.0, 100, 100, seed=1, prompt_jitter=0.99, output_jitter=0.99)
+        assert all(r.prompt_len >= 1 and r.output_len >= 1 for r in trace)

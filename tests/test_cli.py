@@ -1,5 +1,10 @@
 """CLI entry point (`python -m repro`)."""
 
+import contextlib
+import io
+import json
+import random
+
 import pytest
 
 from repro.__main__ import main
@@ -247,3 +252,190 @@ class TestServeSimCluster:
                 "--preemption", "swap", "--requests", "4",
             ])
         assert exc.value.code == 2
+
+
+def _run(argv):
+    """Run the CLI in-process; return its exit code and stdout."""
+    out = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _run_json(argv):
+    """Run the CLI in-process; return its exit code and parsed JSON output."""
+    code, out = _run(argv + ["--json"])
+    return code, json.loads(out)
+
+
+def _assert_rejected(argv, reason):
+    """Exit 2 with exactly one ``serve-sim: `` line naming ``reason``."""
+    code, out = _run(argv)
+    assert code == 2, out
+    assert out.count("\n") == 1 and out.startswith("serve-sim: "), out
+    assert reason in out, out
+
+
+class TestCiCrossCheckPins:
+    """The CI smoke commands' cross-checks, pinned by name and value."""
+
+    _TIERED = [
+        "--device-pages", "8", "--host-pages", "28", "--requests", "8",
+        "--rate", "100000", "--prompt-len", "40", "--output-len", "60", "--seed", "3",
+    ]
+
+    def test_swap_execute_checks(self):
+        code, payload = _run_json(
+            ["serve-sim", "--model", "tiny", "--execute", "--preemption", "swap", *self._TIERED]
+        )
+        assert code == 0
+        assert set(payload["checks"]) == {
+            "schedule_match",
+            "all_completed",
+            "swap_vs_unpressured_bit_exact",
+            "swap_faster_than_recompute",
+        }
+        assert all(value is True for value in payload["checks"].values())
+
+    def test_chaos_execute_checks(self):
+        code, payload = _run_json(
+            [
+                "serve-sim", "--model", "tiny", "--execute", "--chaos", "7",
+                "--max-batch", "3", "--deadline-ms", "6", *self._TIERED,
+            ]
+        )
+        assert code == 0
+        assert set(payload["checks"]) == {
+            "schedule_match",
+            "all_damage_healed",
+            "outputs_bit_exact_after_recovery",
+            "exercised_retry",
+            "exercised_heal",
+            "exercised_shed",
+        }
+        assert all(value is True for value in payload["checks"].values())
+
+
+class TestServeSimFlagValidation:
+    _TIERED = [
+        "--model", "tiny", "--device-pages", "8", "--host-pages", "28",
+        "--requests", "4", "--prompt-len", "40", "--output-len", "20",
+    ]
+
+    def test_execute_recompute_rejects_tier_flags(self):
+        for flag in (["--device-pages", "8"], ["--host-pages", "28"], ["--disk-pages", "4"]):
+            _assert_rejected(
+                ["serve-sim", "--model", "tiny", "--execute", "--requests", "2", *flag],
+                "--preemption swap",
+            )
+
+    def test_chaos_deadline_zero_rejected(self):
+        # 0 used to read as "no deadline" and silently run best-effort.
+        for value in ("0", "-1"):
+            _assert_rejected(
+                ["serve-sim", "--chaos", "7", *self._TIERED, "--deadline-ms", value],
+                "--deadline-ms must be positive",
+            )
+
+    def test_chaos_only_flags_rejected_even_at_their_defaults(self):
+        for flag in (["--audit-every", "10"], ["--max-heals", "5"], ["--deadline-ms", "6"]):
+            _assert_rejected(
+                ["serve-sim", "--requests", "2", *flag], "only apply to --chaos runs"
+            )
+
+    def test_chaos_json_keeps_default_audit_cadence(self):
+        code, payload = _run_json(["serve-sim", "--chaos", "7", *self._TIERED, "--steps", "20"])
+        assert code == 0
+        assert payload["audit_every"] == 10
+        assert payload["deadline_ms"] is None
+
+    def test_negative_residual_window_rejected(self):
+        for extra in ([], ["--tp", "2"]):
+            _assert_rejected(
+                ["serve-sim", "--requests", "2", "--residual-window", "-5", *extra],
+                "residual_window_tokens must be non-negative",
+            )
+
+    def test_trace_lengths_and_jitter_validated(self):
+        for flags, reason in (
+            (["--prompt-len", "0"], "must be positive"),
+            (["--prompt-jitter", "1.0"], "prompt_jitter"),
+            (["--output-jitter", "-0.1"], "output_jitter"),
+        ):
+            _assert_rejected(["serve-sim", "--requests", "2", *flags], reason)
+
+
+#: Flag groups the fuzz test draws from: invalid values, flags that belong
+#: to another mode, and valid knobs.  The test drops ``--execute`` from any
+#: draw with ``--model tiny``, so ``--execute`` only meets the default
+#: serving-scale model, which the toy-model guard rejects: every case stays
+#: analytical and cheap.
+_FUZZ_FLAGS = [
+    ["--model", "tiny"],
+    ["--model", "no-such-model"],
+    ["--arch", "no-such-gpu"],
+    ["--arch", "rtx4090"],
+    ["--execute"],
+    ["--chaos", "7"],
+    ["--tp", "2"],
+    ["--tp", "3"],
+    ["--tp", "0"],
+    ["--replicas", "2"],
+    ["--replicas", "0"],
+    ["--router", "least_loaded"],
+    ["--router", "prefix_affinity"],
+    ["--preemption", "swap"],
+    ["--device-pages", "8"],
+    ["--device-pages", "0"],
+    ["--host-pages", "28"],
+    ["--disk-pages", "4"],
+    ["--pages", "96"],
+    ["--pages", "0"],
+    ["--page-size", "64"],
+    ["--page-size", "0"],
+    ["--residual-window", "-5"],
+    ["--residual-window", "32"],
+    ["--deadline-ms", "0"],
+    ["--deadline-ms", "6"],
+    ["--audit-every", "0"],
+    ["--audit-every", "10"],
+    ["--max-heals", "0"],
+    ["--max-heals", "5"],
+    ["--prefix-cache"],
+    ["--shared-prefix", "0.5"],
+    ["--shared-prefix", "1.5"],
+    ["--prefix-groups", "0"],
+    ["--prefix-groups", "3"],
+    ["--prompt-len", "0"],
+    ["--output-len", "0"],
+    ["--prompt-jitter", "1.0"],
+    ["--prompt-jitter", "0.5"],
+    ["--output-jitter", "-0.1"],
+    ["--requests", "0"],
+    ["--rate", "-1"],
+    ["--prefill-chunk", "0"],
+    ["--prefill-chunk", "32"],
+    ["--n-gpus", "2"],
+    ["--max-batch", "0"],
+]
+
+
+def test_fuzz_serve_sim_flags():
+    """Seeded flag combinations end in exit 0, or exit 2 with one reason line."""
+    rng = random.Random(0)
+    base = ["serve-sim", "--requests", "4", "--rate", "100", "--prompt-len", "64"]
+    base += ["--output-len", "8", "--steps", "20"]
+    for _ in range(200):
+        groups = rng.sample(_FUZZ_FLAGS, rng.randint(1, 3))
+        if ["--model", "tiny"] in groups:  # an executed run may fail a check under --steps
+            groups = [group for group in groups if group != ["--execute"]]
+        argv = base + [f for group in groups for f in group]
+        code, out = _run(argv)
+        if code == 2:
+            assert out.count("\n") == 1 and out.startswith("serve-sim: "), (argv, out)
+        else:
+            assert code == 0, (argv, out)
